@@ -43,7 +43,6 @@ class FabricConfig:
     occupancy: float = 0.5
     chips_per_board: int = 4
     unit_time_per_gate: float = 1.0
-    slots: int = 8
 
     @property
     def usable_fcs_per_chip(self) -> int:
@@ -91,7 +90,7 @@ def load_profile(name: str) -> tuple[FabricConfig, CostTable]:
     return _PROFILES[name]()
 
 
-_FABRIC_FIELDS = ("fcs_per_chip", "occupancy", "chips_per_board", "unit_time_per_gate", "slots")
+_FABRIC_FIELDS = ("fcs_per_chip", "occupancy", "chips_per_board", "unit_time_per_gate")
 _COST_FIELDS = ("fcs", "hbm_bytes", "ddr_bytes", "tiles")
 _TAG_BY_NAME = {tag.value: tag for tag in OpTag}
 
@@ -134,11 +133,6 @@ def _config_from_dict(doc: object) -> tuple[FabricConfig, CostTable]:
         if isinstance(ut, bool) or not isinstance(ut, (int, float)) or ut <= 0:
             raise ConfigError(f"unit_time_per_gate must be a positive number, got {ut!r}")
         fields["unit_time_per_gate"] = float(ut)
-    if "slots" in fabric_doc:
-        slots = _require_int(fabric_doc["slots"], "slots", 1)
-        if slots & (slots - 1):
-            raise ConfigError(f"slots must be a power of two, got {slots}")
-        fields["slots"] = slots
     config = FabricConfig(**fields)
     if config.usable_fcs_per_chip < 1:
         raise ConfigError(

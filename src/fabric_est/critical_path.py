@@ -2,11 +2,9 @@
 
 Three methods ship side by side:
 
-* ``approximate_cp`` - topological-order walk that drops the final
-  element, then filters out sources (argument values) and sinks
-  (operators with no consumed results).  Cheap: it counts exactly the
-  non-sink operators, which covers every op of a longest path except
-  its final sink.
+* ``approximate_cp`` - the operators in topological order, less the
+  sinks (operators with no consumed results).  Cheap: it covers every
+  op of a longest path except its final sink.
 * ``paper_exact_cp`` - for every (source argument, sink operator) pair,
   take the unweighted shortest path through the dependency graph and
   keep the longest such path.  This is a lower bound: shortest paths
@@ -26,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import NamedTuple
 
-from .ir import CircuitGraph, ValueId, operator_topo_order
+from .ir import CircuitGraph
 from .cost import FabricConfig
 
 
@@ -57,10 +55,9 @@ def topological_sort(graph: CircuitGraph) -> list[int]:
     """Operator ids in dependency order (Kahn's algorithm; the ready set
     is popped in ascending operator id order).  Raises ValueError on a
     cyclic graph, which validate() reports beforehand."""
-    order = operator_topo_order(graph)
-    if order is None:
+    if graph.topo_order is None:
         raise ValueError("graph contains a dependency cycle")
-    return order
+    return list(graph.topo_order)
 
 
 def _result(method: Method, ops: list[int], unit_time: float) -> CriticalPathResult:
@@ -68,42 +65,12 @@ def _result(method: Method, ops: list[int], unit_time: float) -> CriticalPathRes
 
 
 def approximate_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathResult:
-    """Topological walk over {argument values} + {operators}: drop the
-    final element, drop sources and sinks, count what remains.
-
-    The final element is always a sink, so this counts exactly the
-    non-sink operators: every op of a longest path except its final
-    sink, hence longest depth <= approximate depth + 1.
-
-    Arguments have no predecessors, so the combined deterministic order
-    is the argument values (declaration order) followed by the Kahn
-    operator order.
-    """
-    order = topological_sort(graph)
-    combined: list[tuple[bool, int]] = [(False, v) for v in graph.argument_ids]
-    combined += [(True, oid) for oid in order]
+    """The non-sink operators in topological order: every op of a
+    longest path except its final sink, hence longest depth <=
+    approximate depth + 1."""
     sinks = graph.sink_op_ids
-    ops = [
-        node
-        for is_op, node in combined[:-1]
-        if is_op and node not in sinks
-    ]
+    ops = [oid for oid in topological_sort(graph) if oid not in sinks]
     return _result(Method.APPROXIMATE, ops, unit_time)
-
-
-def _dependency_succs(graph: CircuitGraph) -> tuple[dict[ValueId, list[int]], dict[int, list[int]]]:
-    """Successor lists (sorted by id) for argument and operator nodes."""
-    arg_succs = {
-        vid: sorted(set(graph.consumers.get(vid, ()))) for vid in graph.argument_ids
-    }
-    op_succs: dict[int, list[int]] = {}
-    for op in graph.operators:
-        succ: set[int] = set()
-        for r in op.results:
-            succ.update(graph.consumers.get(r, ()))
-        succ.discard(op.id)
-        op_succs[op.id] = sorted(succ)
-    return arg_succs, op_succs
 
 
 def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathResult:
@@ -114,17 +81,13 @@ def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
     only a strictly longer path replaces the current best.  Unreachable
     pairs are skipped.  The reported ops exclude the source argument.
     """
-    arg_succs, op_succs = _dependency_succs(graph)
+    op_succs = graph.op_succs
     sinks = sorted(graph.sink_op_ids)
     best_ops: list[int] = []
     best_nodes = 0
     for src in graph.argument_ids:
-        parent: dict[int, int | None] = {}
-        queue: deque[int] = deque()
-        for oid in arg_succs[src]:
-            if oid not in parent:
-                parent[oid] = None
-                queue.append(oid)
+        parent: dict[int, int | None] = dict.fromkeys(graph.consumers.get(src, ()))
+        queue = deque(parent)
         while queue:
             oid = queue.popleft()
             for succ in op_succs[oid]:
@@ -150,13 +113,9 @@ def longest_path_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPath
     """Exact maximum-op-count source-to-sink path via DAG dynamic
     programming; ties pick the lexicographically smallest op-id
     sequence."""
-    producers = graph.producers
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
     for oid in topological_sort(graph):
-        op = graph.operator(oid)
-        preds = sorted(
-            {producers[v].id for v in op.operands if v in producers} - {oid}
-        )
+        preds = graph.op_preds[oid]
         if not preds:
             best[oid] = (1, (oid,))
             continue

@@ -20,9 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 ValueId = int
 
-# A plaintext stand-in: a bit for !lwe values, a slot vector for !ct/!pt.
-PlainValue = "int | tuple[float, ...]"
-
 
 @unique
 class ValueType(Enum):
@@ -241,13 +238,55 @@ class CircuitGraph:
         return {v: tuple(sorted(s)) for v, s in cons.items()}
 
     @cached_property
+    def op_preds(self) -> dict[int, tuple[int, ...]]:
+        """Producer operator ids per operator, sorted and deduplicated.
+
+        An operator that consumes its own result lists itself, so the
+        self-use is a cycle like any other.
+        """
+        producers = self.producers
+        return {
+            op.id: tuple(sorted({producers[v].id for v in op.operands if v in producers}))
+            for op in self.operators
+        }
+
+    @cached_property
+    def op_succs(self) -> dict[int, tuple[int, ...]]:
+        """Consumer operator ids per operator, ascending (the inverse of
+        op_preds)."""
+        succs: dict[int, list[int]] = {oid: [] for oid in self.op_preds}
+        for oid in sorted(self.op_preds):
+            for p in self.op_preds[oid]:
+                succs[p].append(oid)
+        return {oid: tuple(s) for oid, s in succs.items()}
+
+    @cached_property
+    def topo_order(self) -> tuple[int, ...] | None:
+        """Operator ids in dependency order, or None on a cycle.
+
+        Kahn's algorithm with the ready set popped in ascending id order,
+        so the order does not depend on how the operators are stored.
+        """
+        succs = self.op_succs
+        indeg = {oid: len(preds) for oid, preds in self.op_preds.items()}
+        ready = [oid for oid, d in indeg.items() if d == 0]
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            oid = heapq.heappop(ready)
+            order.append(oid)
+            for succ in succs[oid]:
+                indeg[succ] -= 1
+                if indeg[succ] == 0:
+                    heapq.heappush(ready, succ)
+        if len(order) != len(self.operators):
+            return None
+        return tuple(order)
+
+    @cached_property
     def sink_op_ids(self) -> frozenset[int]:
         """Operators none of whose results another operator consumes."""
-        sinks = set()
-        for op in self.operators:
-            if not any(self.consumers.get(r) for r in op.results):
-                sinks.add(op.id)
-        return frozenset(sinks)
+        return frozenset(oid for oid, succs in self.op_succs.items() if not succs)
 
     @cached_property
     def value_types(self) -> dict[ValueId, ValueType]:
@@ -350,81 +389,53 @@ class GraphBuilder:
 
 @dataclass(frozen=True)
 class Violation:
-    """One structural problem found by validate()."""
+    """One structural problem found by validate(); `attr` names the
+    attribute at fault, when there is one."""
 
     code: str
     message: str
     op_id: int | None = None
+    attr: str | None = None
 
 
-def kind_attr_problems(kind: OpKind) -> list[tuple[str, str]]:
-    """(code, message) pairs for attribute problems on one kind."""
-    problems: list[tuple[str, str]] = []
+def kind_attr_problems(kind: OpKind, op_id: int | None = None) -> list[Violation]:
+    """Attribute problems on one kind, each naming its attribute."""
+    problems: list[Violation] = []
     tag = kind.tag
     allowed = REQUIRED_ATTRS.get(tag, ())
-    for attr in ("lut", "coeffs", "luts", "offset", "index"):
+
+    def problem(code: str, message: str, attr: str) -> None:
+        problems.append(Violation(code, message, op_id, attr))
+
+    for attr in ("coeffs", "lut", "luts", "offset", "index"):
         val = getattr(kind, attr)
         if val is not None and attr not in allowed:
-            problems.append(("attr", f"{tag.opname} does not take attribute '{attr}'"))
+            problem("attr", f"{tag.opname} does not take attribute '{attr}'", attr)
         if val is None and attr in allowed:
-            problems.append(("attr", f"{tag.opname} requires attribute '{attr}'"))
+            problem("attr", f"{tag.opname} requires attribute '{attr}'", attr)
     if kind.coeffs is not None and len(kind.coeffs) == 0:
-        problems.append(("attr", f"{tag.opname} requires a non-empty 'coeffs'"))
+        problem("attr", f"{tag.opname} requires a non-empty 'coeffs'", "coeffs")
     if kind.luts is not None and len(kind.luts) == 0:
-        problems.append(("attr", f"{tag.opname} requires a non-empty 'luts'"))
+        problem("attr", f"{tag.opname} requires a non-empty 'luts'", "luts")
     arity = kind.arity
     if arity is not None:
         bound = lut_mask_bound(arity)
         if tag in (OpTag.LUT2, OpTag.LUT3, OpTag.LUT_LINCOMB) and kind.lut is not None:
             if not 0 <= kind.lut < bound:
-                problems.append(
-                    ("lut-range", f"LUT mask out of range: {kind.lut} not in [0, {bound})")
+                problem(
+                    "lut-range", f"LUT mask out of range: {kind.lut} not in [0, {bound})", "lut"
                 )
         if tag is OpTag.MULTI_LUT_LINCOMB and kind.luts:
             for i, mask in enumerate(kind.luts):
                 if not 0 <= mask < bound:
-                    problems.append(
-                        (
-                            "lut-range",
-                            f"LUT mask out of range: luts[{i}] = {mask} not in [0, {bound})",
-                        )
+                    problem(
+                        "lut-range",
+                        f"LUT mask out of range: luts[{i}] = {mask} not in [0, {bound})",
+                        "luts",
                     )
     if kind.index is not None and kind.index < 0:
-        problems.append(("attr", f"{tag.opname} index must be non-negative"))
+        problem("attr", f"{tag.opname} index must be non-negative", "index")
     return problems
-
-
-def operator_topo_order(graph: CircuitGraph) -> list[int] | None:
-    """Kahn's algorithm over operators, ready set popped in id order.
-
-    Returns the operator ids in dependency order, or None when the
-    operand edges contain a cycle.
-    """
-    producer_id: dict[ValueId, int] = {}
-    for op in graph.operators:
-        for r in op.results:
-            producer_id.setdefault(r, op.id)
-    succs: dict[int, list[int]] = {op.id: [] for op in graph.operators}
-    indeg: dict[int, int] = {op.id: 0 for op in graph.operators}
-    for op in graph.operators:
-        for v in op.operands:
-            p = producer_id.get(v)
-            if p is not None and p != op.id:
-                succs[p].append(op.id)
-                indeg[op.id] += 1
-    ready = [oid for oid, d in indeg.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        oid = heapq.heappop(ready)
-        order.append(oid)
-        for succ in succs[oid]:
-            indeg[succ] -= 1
-            if indeg[succ] == 0:
-                heapq.heappush(ready, succ)
-    if len(order) != len(graph.operators):
-        return None
-    return order
 
 
 def validate(graph: CircuitGraph) -> list[Violation]:
@@ -457,8 +468,7 @@ def validate(graph: CircuitGraph) -> list[Violation]:
 
     for op in graph.operators:
         opname = op.kind.tag.opname
-        for code, message in kind_attr_problems(op.kind):
-            violations.append(Violation(code, message, op.id))
+        violations += kind_attr_problems(op.kind, op.id)
         arity = op.kind.arity
         if arity is not None and len(op.operands) != arity:
             violations.append(
@@ -513,10 +523,8 @@ def validate(graph: CircuitGraph) -> list[Violation]:
                     )
                 )
 
-    if operator_topo_order(graph) is None:
-        violations.append(
-            Violation("cycle", "dependency cycle among operators")
-        )
+    if graph.topo_order is None:
+        violations.append(Violation("cycle", "dependency cycle among operators"))
     return violations
 
 
@@ -644,10 +652,9 @@ def evaluate(graph: CircuitGraph, inputs: Mapping[ValueId, object]) -> dict[Valu
                 )
             values[vid] = vec
 
-    order = operator_topo_order(graph)
-    if order is None:
+    if graph.topo_order is None:
         raise EvaluationError("cannot evaluate a cyclic graph")
-    for oid in order:
+    for oid in graph.topo_order:
         op = graph.operator(oid)
         args = [values[v] for v in op.operands]
         outs = _apply_op(op, args)

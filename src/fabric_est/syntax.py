@@ -29,14 +29,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .ir import (
-    BOOL_TAGS,
     CircuitGraph,
     OpKind,
     Operator,
     OpTag,
-    REQUIRED_ATTRS,
     ValueType,
-    lut_mask_bound,
     validate,
 )
 
@@ -49,7 +46,7 @@ _LIST_ATTRS = ("coeffs", "luts")
 _INT_ATTRS = ("lut", "offset", "index", "section")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """1-based position of a token in the source text."""
 
@@ -94,7 +91,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Token:
     kind: str  # arrow | punct | value | at | type | int | ident | eof
     text: str
@@ -379,12 +376,12 @@ class _Builder:
                 define(name, span)
 
         operators: list[Operator] = []
-        op_spans: list[SourceSpan] = []
+        op_raws: list[_RawOp] = []
         for raw in func.ops:
             op = self.build_op(raw, ids, len(operators))
             if op is not None:
                 operators.append(op)
-                op_spans.append(raw.opname_span)
+                op_raws.append(raw)
 
         returns: list[int] = []
         for name, span in func.ret_operands:
@@ -403,26 +400,30 @@ class _Builder:
         if self.diags:
             return None
         for violation in validate(graph):
+            # At the attribute's value, else the op name, else the function name.
             span = func.name_span
-            if violation.op_id is not None and violation.op_id < len(op_spans):
-                span = op_spans[violation.op_id]
+            if violation.op_id is not None and violation.op_id < len(op_raws):
+                raw = op_raws[violation.op_id]
+                attr = raw.attrs.get(violation.attr)
+                span = attr[1] if attr is not None else raw.opname_span
             self.error(violation.message, span)
         if self.diags:
             return None
         return graph
 
     def build_op(self, raw: _RawOp, ids: dict[str, int], op_id: int) -> Operator | None:
+        """Resolve one statement; attribute presence and ranges, operand
+        and result counts are left to validate()."""
         tag = _TAG_BY_OPNAME.get(raw.opname)
         if tag is None:
             self.error(f"unknown operation '{raw.opname}'", raw.opname_span)
             return None
 
-        allowed = REQUIRED_ATTRS.get(tag, ()) + ("section",)
         fields: dict[str, object] = {}
         section = None
         ok = True
         for name, (value, vspan) in raw.attrs.items():
-            if name not in allowed:
+            if name not in _LIST_ATTRS and name not in _INT_ATTRS:
                 self.error(f"{raw.opname} does not take attribute '{name}'", vspan)
                 ok = False
                 continue
@@ -442,53 +443,8 @@ class _Builder:
                     section = value
             else:
                 fields[name] = value
-        for name in REQUIRED_ATTRS.get(tag, ()):
-            if name not in fields:
-                self.error(f"{raw.opname} requires attribute '{name}'", raw.opname_span)
-                ok = False
         if not ok:
             return None
-
-        kind = OpKind(tag, **fields)
-
-        # Range checks against the attribute value spans.
-        arity = kind.arity
-        if arity is not None:
-            bound = lut_mask_bound(arity)
-            if kind.lut is not None and not 0 <= kind.lut < bound:
-                self.error(
-                    f"LUT mask out of range: {kind.lut} not in [0, {bound})",
-                    raw.attrs["lut"][1],
-                )
-                ok = False
-            if kind.luts is not None:
-                for i, mask in enumerate(kind.luts):
-                    if not 0 <= mask < bound:
-                        self.error(
-                            f"LUT mask out of range: luts[{i}] = {mask} not in [0, {bound})",
-                            raw.attrs["luts"][1],
-                        )
-                        ok = False
-        if kind.index is not None and kind.index < 0:
-            self.error("extract index must be non-negative", raw.attrs["index"][1])
-            ok = False
-        if kind.coeffs is not None and len(kind.coeffs) == 0:
-            self.error("coeffs must be non-empty", raw.attrs["coeffs"][1])
-            ok = False
-
-        if arity is not None and len(raw.operands) != arity:
-            self.error(
-                f"{raw.opname} expects {arity} operands, got {len(raw.operands)}",
-                raw.opname_span,
-            )
-            ok = False
-        nres = kind.num_results
-        if nres is not None and len(raw.results) != nres:
-            self.error(
-                f"{raw.opname} produces {nres} results, got {len(raw.results)}",
-                raw.opname_span,
-            )
-            ok = False
 
         want_type = tag.result_type.value
         if raw.type_text != want_type:
@@ -509,7 +465,7 @@ class _Builder:
         if not ok:
             return None
         results = tuple(ids[name] for name, _ in raw.results)
-        return Operator(op_id, kind, tuple(operands), results, section)
+        return Operator(op_id, OpKind(tag, **fields), tuple(operands), results, section)
 
     def check_return_types(self, graph: CircuitGraph) -> None:
         func = self.func
@@ -538,8 +494,8 @@ class _Builder:
 def parse(text: str) -> CircuitGraph:
     """Parse one function; raise ParseError with diagnostics on failure."""
     diagnostics: list[Diagnostic] = []
-    tokens = _Lexer(text).tokens(diagnostics)
-    func = _Parser(tokens, diagnostics).parse_function()
+    # No name holds the tokens, so they are freed before the graph is built.
+    func = _Parser(_Lexer(text).tokens(diagnostics), diagnostics).parse_function()
     if func is not None and not diagnostics:
         graph = _Builder(func, diagnostics).build()
         if graph is not None:

@@ -83,18 +83,13 @@ def _rebuild(graph: CircuitGraph, operators: list[Operator]) -> CircuitGraph:
 def _eliminate_dead_ops(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:
     """Drop operators none of whose results transitively reach a return."""
     producers = graph.producers
-    live_values: set[ValueId] = set()
     live_ops: set[int] = set()
-    stack = list(graph.returns)
+    stack = [producers[v].id for v in graph.returns if v in producers]
     while stack:
-        v = stack.pop()
-        if v in live_values:
-            continue
-        live_values.add(v)
-        op = producers.get(v)
-        if op is not None and op.id not in live_ops:
-            live_ops.add(op.id)
-            stack.extend(op.operands)
+        oid = stack.pop()
+        if oid not in live_ops:
+            live_ops.add(oid)
+            stack.extend(graph.op_preds[oid])
     kept = [op for op in graph.operators if op.id in live_ops]
     if len(kept) == len(graph.operators):
         return graph, False
@@ -188,7 +183,6 @@ def _fuse_single_use_gates(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:
             inner = producers.get(r)
             if (
                 inner is None
-                or inner.id == outer.id
                 or inner.id in consumed
                 or inner.id in fused
                 or inner.kind.tag not in TWO_INPUT_GATES

@@ -161,6 +161,19 @@ class TestFileInput:
         assert err.startswith(f"{path}:2:")
         assert " error: " in err
 
+    def test_self_use_is_a_cycle(self, tmp_path, capsys):
+        path = tmp_path / "loop.scifr"
+        path.write_text(
+            "func @f(%a: !lwe) -> !lwe {\n"
+            "  %0 = scifr_bool.and %0, %a : !lwe\n"
+            "  return %0 : !lwe\n"
+            "}\n"
+        )
+        assert main([str(path), "--critical-path", "--throughput", "--batch", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:1:6: error: dependency cycle among operators\n"
+
 
 class TestTransforms:
     def test_print_ir_lowered(self, capsys):

@@ -37,7 +37,6 @@ class TestFabricConfig:
         assert c.occupancy == 0.5
         assert c.chips_per_board == 4
         assert c.unit_time_per_gate == 1.0
-        assert c.slots == 8
 
     def test_usable_fcs(self):
         assert FabricConfig().usable_fcs_per_chip == 2048
@@ -163,7 +162,6 @@ def make_config_doc(**fabric):
             "occupancy": 0.5,
             "chips_per_board": 4,
             "unit_time_per_gate": 1.0,
-            "slots": 8,
             **fabric,
         },
         "costs": {tag.value: {"fcs": 100} for tag in OpTag},
@@ -228,9 +226,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown cost field 'watts'"):
             load_config(json.dumps(doc))
 
-    def test_slots_power_of_two(self):
-        with pytest.raises(ConfigError, match="slots must be a power of two"):
-            load_config(json.dumps(make_config_doc(slots=6)))
+    def test_slots_rejected(self):
+        # slots was a fabric field that no estimate read; it is gone.
+        with pytest.raises(ConfigError, match="unknown fabric field 'slots'"):
+            load_config(json.dumps(make_config_doc(slots=8)))
 
     def test_non_integer_fields_rejected(self):
         with pytest.raises(ConfigError):

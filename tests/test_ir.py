@@ -22,7 +22,6 @@ from fabric_est.ir import (
     TWO_INPUT_GATES,
     gate_output,
     lut_mask_bound,
-    operator_topo_order,
 )
 
 
@@ -225,7 +224,14 @@ class TestValidate:
             "f", ((0, ValueType.LWE_CIPHERTEXT),), (op1, op2), (2,), {}
         )
         assert "cycle" in codes(validate(g))
-        assert operator_topo_order(g) is None
+        assert g.topo_order is None
+
+    def test_self_use_is_a_cycle(self):
+        op = Operator(0, OpKind(OpTag.AND), (1, 0), (1,))
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op,), (1,), {})
+        assert g.op_preds == {0: (0,)}
+        assert g.topo_order is None
+        assert [v.code for v in validate(g)] == ["cycle"]
 
     def test_stored_order_need_not_be_topological(self):
         # op 0 consumes op 1's result; stored first anyway
@@ -235,7 +241,7 @@ class TestValidate:
             "f", ((0, ValueType.LWE_CIPHERTEXT),), (op1, op2), (2,), {}
         )
         assert validate(g) == []
-        assert operator_topo_order(g) == [1, 0]
+        assert g.topo_order == (1, 0)
 
 
 class TestEvaluateBool:
@@ -358,6 +364,12 @@ class TestEvaluateBool:
             g = genutil.random_bool_graph(rng, max_ops=8, max_args=3)
             h = genutil.permute_operators(g, rng)
             assert genutil.eval_all_bool(g) == genutil.eval_all_bool(h)
+
+    def test_self_use_raises(self):
+        op = Operator(0, OpKind(OpTag.AND), (1, 0), (1,))
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op,), (1,), {})
+        with pytest.raises(EvaluationError, match="cyclic"):
+            evaluate(g, {0: 1})
 
 
 class TestEvaluateCkks:

@@ -296,6 +296,58 @@ class TestDiagnostics:
             "dependency cycle",
         )
 
+    def test_self_use_is_a_cycle(self):
+        ds = self.check(
+            "func @f(%a: !lwe) -> !lwe {\n"
+            "  %0 = scifr_bool.and %0, %a : !lwe\n"
+            "  return %0 : !lwe\n}\n",
+            "dependency cycle among operators",
+        )
+        assert [(d.span.line, d.span.column) for d in ds] == [(1, 6)]
+
+    def check_span(self, line, needle, anchor):
+        """The diagnostic containing `needle` points at `anchor` in `line`,
+        the function's only statement."""
+        text = (
+            "func @f(%a: !lwe, %x: !ct) -> !lwe {\n"
+            f"{line}\n"
+            "  return %a : !lwe\n}\n"
+        )
+        d = next(d for d in self.check(text, needle) if needle in d.message)
+        assert (d.span.line, d.span.column, d.span.length) == (
+            2,
+            line.index(anchor) + 1,
+            len(anchor),
+        )
+
+    def test_negative_extract_index_span(self):
+        self.check_span(
+            "  %0 = scifr_ckks.extract %x {index = -1} : !ct",
+            "scifr_ckks.extract index must be non-negative",
+            "-1",
+        )
+
+    def test_luts_out_of_range_span(self):
+        self.check_span(
+            "  %0, %1 = scifr_bool.multi_lut_lincomb %a {coeffs = [1], luts = [3, 99]} : !lwe",
+            "LUT mask out of range: luts[1] = 99 not in [0, 4)",
+            "[3, 99]",
+        )
+
+    def test_unexpected_attribute_span(self):
+        self.check_span(
+            "  %0 = scifr_bool.and %a, %a {lut = 7} : !lwe",
+            "scifr_bool.and does not take attribute 'lut'",
+            "7",
+        )
+
+    def test_missing_attribute_span(self):
+        self.check_span(
+            "  %0 = scifr_bool.lut2 %a, %a : !lwe",
+            "scifr_bool.lut2 requires attribute 'lut'",
+            "scifr_bool.lut2",
+        )
+
     def test_unknown_character(self):
         self.check(
             "func @f(%a: !lwe) -> !lwe {\n"
