@@ -5,12 +5,12 @@ Three methods ship side by side:
 * ``approximate_cp`` - the operators in topological order, less the
   sinks (operators with no consumed results).  Cheap: it covers every
   op of a longest path except its final sink.
-* ``paper_exact_cp`` - for every (source argument, sink operator) pair,
-  take the unweighted shortest path through the dependency graph and
-  keep the longest such path.  This is a lower bound: shortest paths
-  can bypass long chains through sibling edges.
-* ``longest_path_cp`` - exact DAG longest path by operator count; the
-  reference answer for circuit depth.
+* ``paper_exact_cp`` - the longest unweighted shortest path over all
+  (source argument, sink operator) pairs: one BFS per source, then one
+  parent-chain walk.  A lower bound: shortest paths can bypass long
+  chains through sibling edges.
+* ``longest_path_cp`` - exact DAG longest path by operator count, from
+  one height per op and a single walk; the reference circuit depth.
 
 All methods use fixed id-ordered tie-breaking, so results are
 deterministic across runs.  Reported depth counts compute operators
@@ -76,59 +76,54 @@ def approximate_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
 def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathResult:
     """Longest of the pairwise shortest source-to-sink paths.
 
-    BFS explores neighbors in ascending id order; sources iterate in
-    argument declaration order and sinks in ascending operator id, and
-    only a strictly longer path replaces the current best.  Unreachable
-    pairs are skipped.  The reported ops exclude the source argument.
+    One BFS per source (argument order, neighbors in ascending id) gives
+    each op a parent and a depth; sinks scan in ascending id and only a
+    strictly deeper one replaces the best, whose parent chain is walked
+    once.  The reported ops exclude the source argument.
     """
     op_succs = graph.op_succs
     sinks = sorted(graph.sink_op_ids)
-    best_ops: list[int] = []
-    best_nodes = 0
+    best_depth = 0
+    best_parent: dict[int, tuple[int, int]] = {}
+    best_sink = -1
     for src in graph.argument_ids:
-        parent: dict[int, int | None] = dict.fromkeys(graph.consumers.get(src, ()))
+        parent = {oid: (src, 1) for oid in graph.consumers.get(src, ())}
         queue = deque(parent)
         while queue:
             oid = queue.popleft()
+            depth = parent[oid][1] + 1
             for succ in op_succs[oid]:
                 if succ not in parent:
-                    parent[succ] = oid
+                    parent[succ] = (oid, depth)
                     queue.append(succ)
         for sink in sinks:
-            if sink not in parent:
-                continue
-            path: list[int] = []
-            node: int | None = sink
-            while node is not None:
-                path.append(node)
-                node = parent[node]
-            path.reverse()
-            if len(path) + 1 > best_nodes:  # +1 for the source argument
-                best_nodes = len(path) + 1
-                best_ops = path
-    return _result(Method.PAPER_EXACT, best_ops, unit_time)
+            if sink in parent and parent[sink][1] > best_depth:
+                best_depth, best_parent, best_sink = parent[sink][1], parent, sink
+    ops: list[int] = []
+    node = best_sink
+    for _ in range(best_depth):
+        ops.append(node)
+        node = best_parent[node][0]
+    ops.reverse()
+    return _result(Method.PAPER_EXACT, ops, unit_time)
 
 
 def longest_path_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathResult:
-    """Exact maximum-op-count source-to-sink path via DAG dynamic
-    programming; ties pick the lexicographically smallest op-id
-    sequence."""
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for oid in topological_sort(graph):
-        preds = graph.op_preds[oid]
-        if not preds:
-            best[oid] = (1, (oid,))
-            continue
-        length = max(best[p][0] for p in preds) + 1
-        seq = min(best[p][1] for p in preds if best[p][0] == length - 1) + (oid,)
-        best[oid] = (length, seq)
-    best_len = 0
-    best_seq: tuple[int, ...] = ()
-    for sink in sorted(graph.sink_op_ids):
-        length, seq = best[sink]
-        if length > best_len or (length == best_len and length > 0 and seq < best_seq):
-            best_len, best_seq = length, seq
-    return _result(Method.LONGEST_PATH, list(best_seq), unit_time)
+    """Exact maximum-op-count source-to-sink path; ties pick the
+    lexicographically smallest op-id sequence.  An op's height is the op
+    count of its longest path down to a sink; the walk starts at the
+    smallest op of greatest height and steps to the smallest successor
+    one height lower."""
+    op_succs = graph.op_succs
+    height: dict[int, int] = {}
+    for oid in reversed(topological_sort(graph)):
+        height[oid] = 1 + max((height[s] for s in op_succs[oid]), default=0)
+    ops: list[int] = []
+    node = min(height, key=lambda oid: (-height[oid], oid), default=None)
+    while node is not None:
+        ops.append(node)
+        node = next((s for s in op_succs[node] if height[s] == height[node] - 1), None)
+    return _result(Method.LONGEST_PATH, ops, unit_time)
 
 
 def compute(graph: CircuitGraph, method: Method, unit_time: float = 1.0) -> CriticalPathResult:

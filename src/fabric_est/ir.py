@@ -197,10 +197,10 @@ class Operator:
 class CircuitGraph:
     """A single function: arguments, operators, returned values.
 
-    Operator storage order need not be topological; the only structural
-    requirements (checked by validate()) are SSA single definition and
-    acyclicity.  `value_names` carries the textual names used when
-    printing; missing entries fall back to the numeric id.
+    Operator storage order need not be topological; validate() checks
+    unique operator ids, SSA single definition and acyclicity.
+    `value_names` carries the textual names used when printing;
+    missing entries fall back to the numeric id.
     """
 
     name: str
@@ -441,10 +441,10 @@ def kind_attr_problems(kind: OpKind, op_id: int | None = None) -> list[Violation
 def validate(graph: CircuitGraph) -> list[Violation]:
     """Return every structural violation; an empty list means valid.
 
-    Checked: single definition per value (double-def), defined operands
-    and returns (use-before-def), operand/result arity, attribute
-    presence and LUT mask ranges, operand types per dialect, and
-    acyclicity.
+    Checked: unique operator ids (duplicate-id), single definition per
+    value (double-def), defined operands and returns (use-before-def),
+    operand/result arity, attribute presence and LUT mask ranges, operand
+    types per dialect, and acyclicity (only when the ids are unique).
     """
     violations: list[Violation] = []
     defined: set[ValueId] = set()
@@ -462,7 +462,11 @@ def validate(graph: CircuitGraph) -> list[Violation]:
 
     for vid, _ in graph.arguments:
         define(vid, None)
+    op_ids: set[int] = set()
     for op in graph.operators:
+        if op.id in op_ids:
+            violations.append(Violation("duplicate-id", f"duplicate operator id {op.id}", op.id))
+        op_ids.add(op.id)
         for r in op.results:
             define(r, op.id)
 
@@ -523,7 +527,7 @@ def validate(graph: CircuitGraph) -> list[Violation]:
                     )
                 )
 
-    if graph.topo_order is None:
+    if len(op_ids) == len(graph.operators) and graph.topo_order is None:
         violations.append(Violation("cycle", "dependency cycle among operators"))
     return violations
 

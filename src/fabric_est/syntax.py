@@ -211,7 +211,7 @@ class _Parser:
             self.expect("punct", "(", "'('")
             if self.at("value"):
                 while True:
-                    vt = self.advance()
+                    vt = self.expect("value", None, "a value after ','")
                     self.expect("punct", ":", "':' after argument name")
                     ty = self.expect("type", None, "argument type")
                     func.args.append((vt.text[1:], vt.span, ty.text, ty.span))
@@ -277,7 +277,7 @@ class _Parser:
         operands = []
         if self.at("value"):
             while True:
-                tok = self.advance()
+                tok = self.expect("value", None, "a value after ','")
                 operands.append((tok.text[1:], tok.span))
                 if self.at("punct", ","):
                     self.advance()

@@ -1,11 +1,14 @@
 """End-to-end driver tests exercising main() in process."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fabric_est
 import genutil
 from fabric_est import OpTag, parse, print_circuit
 from fabric_est.cli import main
@@ -174,6 +177,19 @@ class TestFileInput:
         assert captured.out == ""
         assert captured.err == f"{path}:1:6: error: dependency cycle among operators\n"
 
+    def test_non_value_operand_after_comma(self, tmp_path, capsys):
+        path = tmp_path / "bad.scifr"
+        path.write_text(
+            "func @f(%a: !lwe, %b: !lwe) -> !lwe {\n"
+            "  %0 = scifr_bool.and %a, xb : !lwe\n"
+            "  return %0 : !lwe\n"
+            "}\n"
+        )
+        assert main([str(path), "--critical-path"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:2:27: error: expected a value after ',', found 'xb'\n"
+
 
 class TestTransforms:
     def test_print_ir_lowered(self, capsys):
@@ -336,11 +352,14 @@ class TestOutput:
 
 
 def test_console_script(tmp_path):
+    # the child imports the same fabric_est as this test
+    src = str(Path(fabric_est.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "fabric_est.cli", "--fixture", "half-adder",
          "--cggi-estimate"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert proc.stdout == HALF_ADDER_TABLE

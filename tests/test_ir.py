@@ -233,6 +233,15 @@ class TestValidate:
         assert g.topo_order is None
         assert [v.code for v in validate(g)] == ["cycle"]
 
+    def test_duplicate_operator_id(self):
+        # an acyclic chain of two nots whose ids collide
+        op1 = Operator(0, OpKind(OpTag.NOT), (0,), (1,))
+        op2 = Operator(0, OpKind(OpTag.NOT), (1,), (2,))
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op1, op2), (2,), {})
+        assert [(v.code, v.op_id, v.message) for v in validate(g)] == [
+            ("duplicate-id", 0, "duplicate operator id 0")
+        ]
+
     def test_stored_order_need_not_be_topological(self):
         # op 0 consumes op 1's result; stored first anyway
         op1 = Operator(0, OpKind(OpTag.NOT), (3,), (2,))

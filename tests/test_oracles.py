@@ -2,6 +2,7 @@
 methods that read it against the verbatim oracles in oracles.py."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,7 @@ from fabric_est import (
     paper_exact_cp,
     topological_sort,
 )
-from fabric_est.fixtures import fixture_names
+from fabric_est.fixtures import fixture_names, generate_from_spec
 
 METHODS = (
     (approximate_cp, oracles.approximate_cp),
@@ -58,3 +59,37 @@ def test_permuted_random_graphs():
         assert_matches_oracle(genutil.permute_operators(g, rng))
         g = genutil.random_ckks_graph(rng)
         assert_matches_oracle(genutil.permute_operators(g, rng))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "ripple-adder:60",
+        "array-mult:8",
+        "ckks-box-blur:64",
+        "ckks-dot-product:64",
+        "ckks-simple-sum:64",
+    ],
+)
+def test_larger_fixtures(spec):
+    assert_matches_oracle(generate_from_spec(spec))
+
+
+def test_larger_random_graphs():
+    rng = random.Random(4099)
+    for _ in range(200):
+        assert_matches_oracle(genutil.random_bool_graph(rng, max_ops=200))
+
+
+def test_longest_path_memory_is_linear():
+    # a 4,097-deep chain: one stored path per op would take about 65 MiB
+    g = generate_from_spec("ckks-box-blur:4096")
+    topological_sort(g)  # build the shared index outside the measurement
+    tracemalloc.start()
+    try:
+        result = longest_path_cp(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.depth == 4097
+    assert peak < 8 * 2**20

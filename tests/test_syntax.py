@@ -305,6 +305,25 @@ class TestDiagnostics:
         )
         assert [(d.span.line, d.span.column) for d in ds] == [(1, 6)]
 
+    @pytest.mark.parametrize("operand", ["xb", "@b", "!b"])
+    def test_non_value_operand_after_comma(self, operand):
+        ds = self.check(
+            "func @f(%a: !lwe, %b: !lwe) -> !lwe {\n"
+            f"  %0 = scifr_bool.and %a, {operand} : !lwe\n"
+            "  return %0 : !lwe\n}\n",
+            f"expected a value after ',', found {operand!r}",
+        )
+        assert (ds[0].span.line, ds[0].span.column) == (2, 27)
+
+    def test_non_value_argument_after_comma(self):
+        ds = self.check(
+            "func @f(%a: !lwe, b: !lwe) -> !lwe {\n"
+            "  %0 = scifr_bool.not %a : !lwe\n"
+            "  return %0 : !lwe\n}\n",
+            "expected a value after ',', found 'b'",
+        )
+        assert [(d.span.line, d.span.column) for d in ds] == [(1, 19)]
+
     def check_span(self, line, needle, anchor):
         """The diagnostic containing `needle` points at `anchor` in `line`,
         the function's only statement."""
