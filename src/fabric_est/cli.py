@@ -27,8 +27,6 @@ from .report import RunManifest, emit_report
 from .syntax import ParseError, parse, print_circuit
 from .transforms import TransformError, canonicalize, lower_gates, sectionize
 
-_TRANSFORM_FLAGS = ("--lower-gates", "--canonicalize", "--sectionize")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -49,11 +47,15 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the generated fixture to PATH (requires --fixture)",
     )
-    p.add_argument("--lower-gates", action="store_true",
+    p.set_defaults(passes=[])
+    p.add_argument("--lower-gates", action="append_const", dest="passes",
+                   const="lower-gates",
                    help="rewrite named gates to LUT linear-combination form")
-    p.add_argument("--canonicalize", action="store_true",
+    p.add_argument("--canonicalize", action="append_const", dest="passes",
+                   const="canonicalize",
                    help="dead-code elimination, Not-Not removal, gate fusion")
-    p.add_argument("--sectionize", action="store_true",
+    p.add_argument("--sectionize", action="append_const", dest="passes",
+                   const="sectionize",
                    help="pack operators into capacity-bounded sections")
     p.add_argument("--capacity", type=int, metavar="N",
                    help="section FC capacity (requires --sectionize;"
@@ -86,10 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _transform_order(argv: list[str]) -> list[str]:
-    return [tok for tok in argv if tok in _TRANSFORM_FLAGS]
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
@@ -106,10 +104,9 @@ def _check_dialect(graph: CircuitGraph, flag: str, allowed, label: str) -> str |
 
 
 def main(argv: list[str] | None = None) -> int:
-    raw_argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(raw_argv)
+        args = parser.parse_args(argv)
 
         if args.input and args.fixture:
             parser.error("give either an input file or --fixture, not both")
@@ -117,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("an input file or --fixture is required")
         if args.output and not args.fixture:
             parser.error("-o/--output requires --fixture")
-        if args.capacity is not None and not args.sectionize:
+        if args.capacity is not None and "sectionize" not in args.passes:
             parser.error("--capacity requires --sectionize")
         if args.method is not None and not args.critical_path:
             parser.error("--method requires --critical-path")
@@ -170,12 +167,11 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         input_label = args.input
 
-    passes = _transform_order(raw_argv)
     try:
-        for flag in passes:
-            if flag == "--lower-gates":
+        for name in args.passes:
+            if name == "lower-gates":
                 graph = lower_gates(graph)
-            elif flag == "--canonicalize":
+            elif name == "canonicalize":
                 graph = canonicalize(graph)
             else:
                 capacity = (
@@ -197,23 +193,19 @@ def main(argv: list[str] | None = None) -> int:
             return _fail(problem)
         resources = estimate(graph, config, costs)
 
+    # --method requires --critical-path, so a chosen method is also the
+    # one throughput reads.
+    method = None if args.method in (None, "all") else Method(args.method)
     cp_results: tuple = ()
     if args.critical_path:
-        method = args.method or "all"
-        if method == "all":
-            selected = list(Method)
-        else:
-            selected = [Method(method)]
+        selected = list(Method) if method is None else [method]
         cp_results = tuple(
             compute(graph, m, config.unit_time_per_gate) for m in selected
         )
 
     tp = None
     if args.throughput:
-        if args.critical_path and args.method not in (None, "all"):
-            tp_method = Method(args.method)
-        else:
-            tp_method = Method.LONGEST_PATH
+        tp_method = method or Method.LONGEST_PATH
         cached = next((c for c in cp_results if c.method is tp_method), None)
         depth = (
             cached.depth
@@ -230,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
 
     manifest = RunManifest(
         input=input_label,
-        passes=tuple(flag.lstrip("-") for flag in passes),
+        passes=tuple(args.passes),
         config=config_label,
         format=args.emit,
         exit_status=0,

@@ -61,9 +61,6 @@ class CostTable:
     def __getitem__(self, tag: OpTag) -> ResourceCost:
         return self._entries[tag]
 
-    def items(self):
-        return self._entries.items()
-
 
 def paper_default() -> tuple[FabricConfig, CostTable]:
     """The built-in profile: 256 FCs per bootstrapped Boolean op, 16 for

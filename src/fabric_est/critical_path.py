@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import NamedTuple
 
-from .ir import CircuitGraph
+from .ir import CircuitGraph, duplicate_id_message
 from .cost import FabricConfig
 
 
@@ -54,9 +54,10 @@ class ThroughputResult(NamedTuple):
 def topological_sort(graph: CircuitGraph) -> list[int]:
     """Operator ids in dependency order (Kahn's algorithm; the ready set
     is popped in ascending operator id order).  Raises ValueError on a
-    cyclic graph, which validate() reports beforehand."""
+    cyclic graph or repeated operator ids, which validate() reports
+    beforehand."""
     if graph.topo_order is None:
-        raise ValueError("graph contains a dependency cycle")
+        raise ValueError(duplicate_id_message(graph) or "graph contains a dependency cycle")
     return list(graph.topo_order)
 
 

@@ -114,6 +114,27 @@ REQUIRED_ATTRS: dict[OpTag, tuple[str, ...]] = {
     OpTag.EXTRACT: ("index",),
 }
 
+# OpKind's attributes, in the order validate() reports them, each with its
+# shape: an integer list (tuple) or one integer (int).
+KIND_ATTRS: dict[str, type] = {
+    "coeffs": tuple,
+    "lut": int,
+    "luts": tuple,
+    "offset": int,
+    "index": int,
+}
+
+
+def attr_shape_problem(name: str, value: object) -> str | None:
+    """The message for an attribute value of the wrong shape, else None.
+    Names outside KIND_ATTRS, such as `section`, hold one integer."""
+    if KIND_ATTRS.get(name) is tuple:
+        if not isinstance(value, tuple):
+            return f"attribute '{name}' must be an integer list"
+    elif not isinstance(value, int):
+        return f"attribute '{name}' must be an integer"
+    return None
+
 
 def lut_mask_bound(arity: int) -> int:
     """Exclusive upper bound for a LUT mask over `arity` inputs."""
@@ -168,7 +189,7 @@ class OpKind:
     def attrs(self) -> dict[str, int | tuple[int, ...]]:
         """The attributes actually set, keyed by IR attribute name."""
         out: dict[str, int | tuple[int, ...]] = {}
-        for name in ("coeffs", "index", "lut", "luts", "offset"):
+        for name in KIND_ATTRS:
             val = getattr(self, name)
             if val is not None:
                 out[name] = val
@@ -262,11 +283,15 @@ class CircuitGraph:
 
     @cached_property
     def topo_order(self) -> tuple[int, ...] | None:
-        """Operator ids in dependency order, or None on a cycle.
+        """Operator ids in dependency order, or None on a cycle."""
+        order = self._released
+        return order if len(order) == len(self.operators) else None
 
-        Kahn's algorithm with the ready set popped in ascending id order,
-        so the order does not depend on how the operators are stored.
-        """
+    @cached_property
+    def _released(self) -> tuple[int, ...]:
+        """Kahn's algorithm with the ready set popped in ascending id order,
+        so the order does not depend on how the operators are stored.  The
+        ops on and below a cycle are never released."""
         succs = self.op_succs
         indeg = {oid: len(preds) for oid, preds in self.op_preds.items()}
         ready = [oid for oid, d in indeg.items() if d == 0]
@@ -279,8 +304,6 @@ class CircuitGraph:
                 indeg[succ] -= 1
                 if indeg[succ] == 0:
                     heapq.heappush(ready, succ)
-        if len(order) != len(self.operators):
-            return None
         return tuple(order)
 
     @cached_property
@@ -407,12 +430,21 @@ def kind_attr_problems(kind: OpKind, op_id: int | None = None) -> list[Violation
     def problem(code: str, message: str, attr: str) -> None:
         problems.append(Violation(code, message, op_id, attr))
 
-    for attr in ("coeffs", "lut", "luts", "offset", "index"):
+    shaped = True
+    for attr in KIND_ATTRS:
         val = getattr(kind, attr)
-        if val is not None and attr not in allowed:
+        if val is None:
+            if attr in allowed:
+                problem("attr", f"{tag.opname} requires attribute '{attr}'", attr)
+            continue
+        if attr not in allowed:
             problem("attr", f"{tag.opname} does not take attribute '{attr}'", attr)
-        if val is None and attr in allowed:
-            problem("attr", f"{tag.opname} requires attribute '{attr}'", attr)
+        shape = attr_shape_problem(attr, val)
+        if shape is not None:
+            problem("attr", shape, attr)
+            shaped = False
+    if not shaped:
+        return problems
     if kind.coeffs is not None and len(kind.coeffs) == 0:
         problem("attr", f"{tag.opname} requires a non-empty 'coeffs'", "coeffs")
     if kind.luts is not None and len(kind.luts) == 0:
@@ -443,8 +475,10 @@ def validate(graph: CircuitGraph) -> list[Violation]:
 
     Checked: unique operator ids (duplicate-id), single definition per
     value (double-def), defined operands and returns (use-before-def),
-    operand/result arity, attribute presence and LUT mask ranges, operand
-    types per dialect, and acyclicity (only when the ids are unique).
+    operand/result arity, attribute presence, shapes and LUT mask ranges,
+    non-negative sections, operand types per dialect, and acyclicity (only
+    when the ids are unique; the violation names the smallest op id on or
+    below a cycle).
     """
     violations: list[Violation] = []
     defined: set[ValueId] = set()
@@ -473,6 +507,12 @@ def validate(graph: CircuitGraph) -> list[Violation]:
     for op in graph.operators:
         opname = op.kind.tag.opname
         violations += kind_attr_problems(op.kind, op.id)
+        if op.section is not None:
+            message = attr_shape_problem("section", op.section)
+            if message is None and op.section < 0:
+                message = "section must be non-negative"
+            if message is not None:
+                violations.append(Violation("attr", message, op.id, "section"))
         arity = op.kind.arity
         if arity is not None and len(op.operands) != arity:
             violations.append(
@@ -528,8 +568,16 @@ def validate(graph: CircuitGraph) -> list[Violation]:
                 )
 
     if len(op_ids) == len(graph.operators) and graph.topo_order is None:
-        violations.append(Violation("cycle", "dependency cycle among operators"))
+        stuck = min(op_ids.difference(graph._released))
+        violations.append(Violation("cycle", "dependency cycle among operators", stuck))
     return violations
+
+
+def duplicate_id_message(graph: CircuitGraph) -> str | None:
+    """validate()'s first duplicate-id message, or None when the operator
+    ids are unique.  Repeated ids leave a graph without a topological
+    order even when it has no cycle."""
+    return next((v.message for v in validate(graph) if v.code == "duplicate-id"), None)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +705,7 @@ def evaluate(graph: CircuitGraph, inputs: Mapping[ValueId, object]) -> dict[Valu
             values[vid] = vec
 
     if graph.topo_order is None:
-        raise EvaluationError("cannot evaluate a cyclic graph")
+        raise EvaluationError(duplicate_id_message(graph) or "cannot evaluate a cyclic graph")
     for oid in graph.topo_order:
         op = graph.operator(oid)
         args = [values[v] for v in op.operands]

@@ -27,13 +27,16 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from .ir import (
+    KIND_ATTRS,
     CircuitGraph,
     OpKind,
     Operator,
     OpTag,
     ValueType,
+    attr_shape_problem,
     validate,
 )
 
@@ -42,8 +45,7 @@ MAX_DIAGNOSTICS = 20
 _TAG_BY_OPNAME = {tag.opname: tag for tag in OpTag}
 _TYPE_BY_SPELLING = {vt.value: vt for vt in ValueType}
 
-_LIST_ATTRS = ("coeffs", "luts")
-_INT_ATTRS = ("lut", "offset", "index", "section")
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +72,18 @@ class ParseError(Exception):
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = list(diagnostics)
         super().__init__("\n".join(str(d) for d in self.diagnostics))
+
+
+class _Diagnostics(list):
+    """The diagnostics of one parse, capped at MAX_DIAGNOSTICS; later
+    ones are dropped."""
+
+    def add(self, message: str, span: SourceSpan) -> None:
+        if not self.full():
+            self.append(Diagnostic(message, span))
+
+    def full(self) -> bool:
+        return len(self) >= MAX_DIAGNOSTICS
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +125,14 @@ class _Lexer:
         column = offset - self.line_starts[line - 1] + 1
         return SourceSpan(line, column, max(length, 1))
 
-    def tokens(self, diagnostics: list[Diagnostic]) -> list[_Token]:
+    def tokens(self, diagnostics: _Diagnostics) -> list[_Token]:
         toks: list[_Token] = []
         pos = 0
         n = len(self.text)
         while pos < n:
             m = _TOKEN_RE.match(self.text, pos)
             if m is None:
-                if len(diagnostics) < MAX_DIAGNOSTICS:
-                    diagnostics.append(
-                        Diagnostic(
-                            f"unexpected character {self.text[pos]!r}",
-                            self.span_at(pos, 1),
-                        )
-                    )
+                diagnostics.add(f"unexpected character {self.text[pos]!r}", self.span_at(pos, 1))
                 pos += 1
                 continue
             kind = m.lastgroup
@@ -166,7 +174,7 @@ class _Abort(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diagnostics: list[Diagnostic]):
+    def __init__(self, tokens: list[_Token], diagnostics: _Diagnostics):
         self.toks = tokens
         self.pos = 0
         self.diags = diagnostics
@@ -188,11 +196,7 @@ class _Parser:
         return t
 
     def error(self, message: str, span: SourceSpan | None = None) -> None:
-        if len(self.diags) < MAX_DIAGNOSTICS:
-            self.diags.append(Diagnostic(message, span or self.cur.span))
-
-    def full(self) -> bool:
-        return len(self.diags) >= MAX_DIAGNOSTICS
+        self.diags.add(message, span or self.cur.span)
 
     def expect(self, kind: str, text: str | None, what: str) -> _Token:
         if self.at(kind, text):
@@ -200,6 +204,18 @@ class _Parser:
         got = self.cur.text or "end of input"
         self.error(f"expected {what}, found {got!r}")
         raise _Abort()
+
+    def comma_list(self, item: Callable[..., _T], *args: object) -> list[_T]:
+        """`item { "," item }`, each parsed by `item(*args)`."""
+        items = [item(*args)]
+        while self.at("punct", ","):
+            self.advance()
+            items.append(item(*args))
+        return items
+
+    def value(self, what: str) -> tuple[str, SourceSpan]:
+        tok = self.expect("value", None, what)
+        return tok.text[1:], tok.span
 
     # -- grammar
 
@@ -210,15 +226,7 @@ class _Parser:
             func = _RawFunc(name_tok.text[1:], [], [], name_span=name_tok.span)
             self.expect("punct", "(", "'('")
             if self.at("value"):
-                while True:
-                    vt = self.expect("value", None, "a value after ','")
-                    self.expect("punct", ":", "':' after argument name")
-                    ty = self.expect("type", None, "argument type")
-                    func.args.append((vt.text[1:], vt.span, ty.text, ty.span))
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
+                func.args = self.comma_list(self.parse_arg)
             self.expect("punct", ")", "')'")
             self.expect("arrow", None, "'->'")
             func.arrow_types = self.parse_typelist(stop="{")
@@ -227,7 +235,7 @@ class _Parser:
             return None
 
         while not self.at("ident", "return") and not self.at("punct", "}"):
-            if self.cur.kind == "eof" or self.full():
+            if self.cur.kind == "eof" or self.diags.full():
                 self.error("expected 'return' before end of function")
                 return func
             try:
@@ -237,12 +245,7 @@ class _Parser:
         try:
             self.expect("ident", "return", "'return'")
             if self.at("value"):
-                tok = self.advance()
-                func.ret_operands.append((tok.text[1:], tok.span))
-                while self.at("punct", ","):
-                    self.advance()
-                    tok = self.expect("value", None, "a value after ','")
-                    func.ret_operands.append((tok.text[1:], tok.span))
+                func.ret_operands = self.comma_list(self.value, "a value after ','")
             self.expect("punct", ":", "':' after return operands")
             func.ret_types = self.parse_typelist(stop="}")
             self.expect("punct", "}", "'}'")
@@ -252,56 +255,42 @@ class _Parser:
             pass
         return func
 
+    def parse_arg(self) -> tuple[str, SourceSpan, str, SourceSpan]:
+        name, span = self.value("a value after ','")
+        self.expect("punct", ":", "':' after argument name")
+        ty = self.expect("type", None, "argument type")
+        return name, span, ty.text, ty.span
+
     def parse_typelist(self, stop: str) -> list[tuple[str, SourceSpan]]:
-        types: list[tuple[str, SourceSpan]] = []
         if self.at("punct", stop):
-            return types
-        while True:
-            ty = self.expect("type", None, "a type")
-            types.append((ty.text, ty.span))
-            if self.at("punct", ","):
-                self.advance()
-                continue
-            return types
+            return []
+        types = self.comma_list(self.expect, "type", None, "a type")
+        return [(ty.text, ty.span) for ty in types]
 
     def parse_stmt(self) -> _RawOp:
-        results = []
-        tok = self.expect("value", None, "a result value")
-        results.append((tok.text[1:], tok.span))
-        while self.at("punct", ","):
-            self.advance()
-            tok = self.expect("value", None, "a result value")
-            results.append((tok.text[1:], tok.span))
+        results = self.comma_list(self.value, "a result value")
         self.expect("punct", "=", "'='")
         opname_tok = self.expect("ident", None, "an operation name")
         operands = []
         if self.at("value"):
-            while True:
-                tok = self.expect("value", None, "a value after ','")
-                operands.append((tok.text[1:], tok.span))
-                if self.at("punct", ","):
-                    self.advance()
-                    continue
-                break
+            operands = self.comma_list(self.value, "a value after ','")
         attrs: dict[str, tuple[object, SourceSpan]] = {}
         if self.at("punct", "{"):
             self.advance()
-            while True:
-                name_tok = self.expect("ident", None, "an attribute name")
-                self.expect("punct", "=", "'=' in attribute")
-                value, vspan = self.parse_attrval()
-                if name_tok.text in attrs:
-                    self.error(f"duplicate attribute '{name_tok.text}'", name_tok.span)
-                else:
-                    attrs[name_tok.text] = (value, vspan)
-                if self.at("punct", ","):
-                    self.advance()
-                    continue
-                self.expect("punct", "}", "'}' after attributes")
-                break
+            self.comma_list(self.parse_attr, attrs)
+            self.expect("punct", "}", "'}' after attributes")
         self.expect("punct", ":", "':' before the result type")
         ty = self.expect("type", None, "a result type")
         return _RawOp(results, opname_tok.text, opname_tok.span, operands, attrs, ty.text, ty.span)
+
+    def parse_attr(self, attrs: dict[str, tuple[object, SourceSpan]]) -> None:
+        name_tok = self.expect("ident", None, "an attribute name")
+        self.expect("punct", "=", "'=' in attribute")
+        value, vspan = self.parse_attrval()
+        if name_tok.text in attrs:
+            self.error(f"duplicate attribute '{name_tok.text}'", name_tok.span)
+        else:
+            attrs[name_tok.text] = (value, vspan)
 
     def parse_attrval(self) -> tuple[object, SourceSpan]:
         if self.at("int"):
@@ -309,18 +298,11 @@ class _Parser:
             return int(tok.text), tok.span
         if self.at("punct", "["):
             open_tok = self.advance()
-            items: list[int] = []
-            while True:
-                tok = self.expect("int", None, "an integer in the list")
-                items.append(int(tok.text))
-                if self.at("punct", ","):
-                    self.advance()
-                    continue
-                close = self.expect("punct", "]", "']'")
-                break
+            items = self.comma_list(self.expect, "int", None, "an integer in the list")
+            close = self.expect("punct", "]", "']'")
             length = close.span.column - open_tok.span.column + close.span.length
             span = SourceSpan(open_tok.span.line, open_tok.span.column, max(length, 1))
-            return tuple(items), span
+            return tuple(int(tok.text) for tok in items), span
         self.error("expected an integer or integer list")
         raise _Abort()
 
@@ -338,13 +320,9 @@ class _Parser:
 
 
 class _Builder:
-    def __init__(self, func: _RawFunc, diagnostics: list[Diagnostic]):
+    def __init__(self, func: _RawFunc, diagnostics: _Diagnostics):
         self.func = func
         self.diags = diagnostics
-
-    def error(self, message: str, span: SourceSpan) -> None:
-        if len(self.diags) < MAX_DIAGNOSTICS:
-            self.diags.append(Diagnostic(message, span))
 
     def build(self) -> CircuitGraph | None:
         func = self.func
@@ -355,7 +333,7 @@ class _Builder:
         def define(name: str, span: SourceSpan) -> int:
             nonlocal next_id
             if name in ids:
-                self.error(f"value %{name} defined more than once", span)
+                self.diags.add(f"value %{name} defined more than once", span)
                 return ids[name]
             ids[name] = next_id
             names[next_id] = name
@@ -366,7 +344,7 @@ class _Builder:
         for name, span, type_text, type_span in func.args:
             vt = _TYPE_BY_SPELLING.get(type_text)
             if vt is None:
-                self.error(f"unknown type {type_text}", type_span)
+                self.diags.add(f"unknown type {type_text}", type_span)
                 vt = ValueType.LWE_CIPHERTEXT
             arguments.append((define(name, span), vt))
 
@@ -387,7 +365,7 @@ class _Builder:
         for name, span in func.ret_operands:
             vid = ids.get(name)
             if vid is None:
-                self.error(f"use-before-def %{name}", span)
+                self.diags.add(f"use-before-def %{name}", span)
             else:
                 returns.append(vid)
 
@@ -406,7 +384,7 @@ class _Builder:
                 raw = op_raws[violation.op_id]
                 attr = raw.attrs.get(violation.attr)
                 span = attr[1] if attr is not None else raw.opname_span
-            self.error(violation.message, span)
+            self.diags.add(violation.message, span)
         if self.diags:
             return None
         return graph
@@ -416,31 +394,23 @@ class _Builder:
         and result counts are left to validate()."""
         tag = _TAG_BY_OPNAME.get(raw.opname)
         if tag is None:
-            self.error(f"unknown operation '{raw.opname}'", raw.opname_span)
+            self.diags.add(f"unknown operation '{raw.opname}'", raw.opname_span)
             return None
 
         fields: dict[str, object] = {}
         section = None
         ok = True
         for name, (value, vspan) in raw.attrs.items():
-            if name not in _LIST_ATTRS and name not in _INT_ATTRS:
-                self.error(f"{raw.opname} does not take attribute '{name}'", vspan)
+            if name not in KIND_ATTRS and name != "section":
+                self.diags.add(f"{raw.opname} does not take attribute '{name}'", vspan)
                 ok = False
                 continue
-            if name in _LIST_ATTRS and not isinstance(value, tuple):
-                self.error(f"attribute '{name}' must be an integer list", vspan)
+            problem = attr_shape_problem(name, value)
+            if problem is not None:
+                self.diags.add(problem, vspan)
                 ok = False
-                continue
-            if name in _INT_ATTRS and not isinstance(value, int):
-                self.error(f"attribute '{name}' must be an integer", vspan)
-                ok = False
-                continue
-            if name == "section":
-                if value < 0:
-                    self.error("section must be non-negative", vspan)
-                    ok = False
-                else:
-                    section = value
+            elif name == "section":
+                section = value
             else:
                 fields[name] = value
         if not ok:
@@ -448,7 +418,7 @@ class _Builder:
 
         want_type = tag.result_type.value
         if raw.type_text != want_type:
-            self.error(
+            self.diags.add(
                 f"type mismatch: {raw.opname} produces {want_type}, not {raw.type_text}",
                 raw.type_span,
             )
@@ -458,7 +428,7 @@ class _Builder:
         for name, span in raw.operands:
             vid = ids.get(name)
             if vid is None:
-                self.error(f"use-before-def %{name}", span)
+                self.diags.add(f"use-before-def %{name}", span)
                 ok = False
             else:
                 operands.append(vid)
@@ -473,36 +443,34 @@ class _Builder:
         actual = [types[v].value for v in graph.returns]
         if len(func.ret_types) != len(actual):
             span = func.ret_types[0][1] if func.ret_types else func.name_span
-            self.error(
+            self.diags.add(
                 f"return lists {len(func.ret_types)} types for {len(actual)} values", span
             )
             return
         for want, (got, span) in zip(actual, func.ret_types):
             if got != want:
-                self.error(f"return type mismatch: value has type {want}, not {got}", span)
+                self.diags.add(f"return type mismatch: value has type {want}, not {got}", span)
         if len(func.arrow_types) != len(actual):
-            self.error(
+            self.diags.add(
                 f"function signature declares {len(func.arrow_types)} results, returns {len(actual)}",
                 func.name_span,
             )
             return
         for want, (got, span) in zip(actual, func.arrow_types):
             if got != want:
-                self.error(f"declared result type {got} does not match returned {want}", span)
+                self.diags.add(f"declared result type {got} does not match returned {want}", span)
 
 
 def parse(text: str) -> CircuitGraph:
     """Parse one function; raise ParseError with diagnostics on failure."""
-    diagnostics: list[Diagnostic] = []
+    diagnostics = _Diagnostics()
     # No name holds the tokens, so they are freed before the graph is built.
     func = _Parser(_Lexer(text).tokens(diagnostics), diagnostics).parse_function()
     if func is not None and not diagnostics:
         graph = _Builder(func, diagnostics).build()
         if graph is not None:
             return graph
-    if not diagnostics:  # pragma: no cover - builder always explains failure
-        diagnostics.append(Diagnostic("parse failed", SourceSpan(1, 1, 1)))
-    raise ParseError(diagnostics[:MAX_DIAGNOSTICS])
+    raise ParseError(diagnostics)
 
 
 # ---------------------------------------------------------------------------

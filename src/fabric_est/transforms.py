@@ -34,12 +34,9 @@ class TransformError(Exception):
 # Named-gate truth tables indexed by (bit_b * 2 + bit_a), i.e. operand 0
 # is the least-significant index bit; same table the fused LUTs use.
 LOWERED_GATE_MASKS = {
-    OpTag.AND: 0b1000,
-    OpTag.NAND: 0b0111,
-    OpTag.NOR: 0b0001,
-    OpTag.OR: 0b1110,
-    OpTag.XOR: 0b0110,
-    OpTag.XNOR: 0b1001,
+    tag: sum(gate_output(tag, i & 1, i >> 1) << i for i in range(4))
+    for tag in OpTag
+    if tag in TWO_INPUT_GATES
 }
 NOT_MASK = 0b01
 
@@ -63,9 +60,7 @@ def lower_gates(graph: CircuitGraph) -> CircuitGraph:
             new_ops.append(replace(op, kind=kind))
         else:
             new_ops.append(op)
-    return CircuitGraph(
-        graph.name, graph.arguments, tuple(new_ops), graph.returns, graph.value_names
-    )
+    return replace(graph, operators=tuple(new_ops))
 
 
 def _rebuild(graph: CircuitGraph, operators: list[Operator]) -> CircuitGraph:
@@ -77,7 +72,7 @@ def _rebuild(graph: CircuitGraph, operators: list[Operator]) -> CircuitGraph:
         live.update(op.results)
     live.update(graph.returns)
     names = {v: n for v, n in graph.value_names.items() if v in live}
-    return CircuitGraph(graph.name, graph.arguments, tuple(renumbered), graph.returns, names)
+    return replace(graph, operators=tuple(renumbered), value_names=names)
 
 
 def _eliminate_dead_ops(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:
@@ -119,10 +114,7 @@ def _eliminate_double_negation(graph: CircuitGraph) -> tuple[CircuitGraph, bool]
         for op in graph.operators
     ]
     new_returns = tuple(resolve(v) for v in graph.returns)
-    out = CircuitGraph(
-        graph.name, graph.arguments, tuple(new_ops), new_returns, graph.value_names
-    )
-    return out, True
+    return replace(graph, operators=tuple(new_ops), returns=new_returns), True
 
 
 def _ordered_distinct(values: tuple[ValueId, ...]) -> list[ValueId]:
@@ -261,8 +253,6 @@ def sectionize(
         assignment[oid] = current
         current_sum += fcs
     new_ops = tuple(replace(op, section=assignment[op.id]) for op in graph.operators)
-    annotated = CircuitGraph(
-        graph.name, graph.arguments, new_ops, graph.returns, graph.value_names
-    )
+    annotated = replace(graph, operators=new_ops)
     count = current + 1 if assignment else 1
     return annotated, SectionPlan(count, assignment, capacity_fcs)

@@ -6,9 +6,18 @@ own traversal code."""
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import replace
 
-from fabric_est import CircuitGraph, GraphBuilder, OpKind, OpTag, ValueType, evaluate
+from fabric_est import (
+    CircuitGraph,
+    GraphBuilder,
+    OpKind,
+    OpTag,
+    ValueType,
+    evaluate,
+    print_circuit,
+)
 from fabric_est.ir import TWO_INPUT_GATES
 
 GATES = sorted(TWO_INPUT_GATES, key=lambda t: t.value)
@@ -213,3 +222,67 @@ def brute_force_longest_path(g: CircuitGraph) -> tuple[int, tuple[int, ...]]:
     if best is None:
         return 0, ()
     return len(best), best
+
+
+# One lexical piece of circuit text: a whitespace run or a token.
+_PIECE_RE = re.compile(r"\s+|->|%\w+|@\w+|![A-Za-z_]+|-?\d+|[A-Za-z_][\w.]*|\S")
+_SPLICES = (
+    "%0", "%1", "%a0", "%a1", ",", "=", ":", "(", ")", "{", "}", "[", "]", "->",
+    "!lwe", "!ct", "!pt", "!x", "-1", "0", "2", "255", "[]", "[1, 2]", "lut",
+    "luts", "coeffs", "index", "offset", "section", "{section = -1}",
+    "{lut = 6}", "scifr_bool.not", "scifr_bool.lut2", "scifr_ckks.extract",
+    "scifr_bool.nope", "return", "func", "@g", "#", "// note",
+)
+
+
+def mutate_text(rng: random.Random, text: str) -> str:
+    """One to three random edits to circuit text: delete, duplicate or
+    swap operator lines; point a value use at another value; set an
+    integer; or delete, duplicate, swap or replace one token (from a
+    pool of tokens and fragments)."""
+    for _ in range(rng.choices((1, 2, 3), (6, 3, 1))[0]):
+        roll = rng.random()
+        lines = text.split("\n")
+        if roll < 0.15 and len(lines) > 4:
+            i, j = rng.randrange(1, len(lines) - 3), rng.randrange(1, len(lines) - 3)
+            if roll < 0.05:
+                del lines[i]
+            elif roll < 0.09:
+                lines.insert(i, lines[i])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+            continue
+        pieces = _PIECE_RE.findall(text)
+        spots = [k for k, p in enumerate(pieces) if not p.isspace()]
+        values = [k for k in spots if pieces[k].startswith("%")]
+        ints = [k for k in spots if pieces[k].lstrip("-").isdigit()]
+        if roll < 0.35 and values:
+            pieces[_pick(rng, values)] = pieces[_pick(rng, values)]
+        elif roll < 0.5 and ints:
+            pieces[_pick(rng, ints)] = str(rng.randint(-3, 300))
+        elif spots:
+            k = _pick(rng, spots)
+            if roll < 0.62:
+                del pieces[k]
+            elif roll < 0.7:
+                pieces[k:k] = [pieces[k], " "]
+            elif roll < 0.78:
+                m = _pick(rng, spots)
+                pieces[k], pieces[m] = pieces[m], pieces[k]
+            else:
+                pieces[k] = _pick(rng, _SPLICES)
+        text = "".join(pieces)
+    return text
+
+
+def mutation_corpus(seed: int, count: int):
+    """`count` mutated texts of small random Boolean (with and without
+    sections) and CKKS graphs, reproducible from `seed`."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.6:
+            g = random_bool_graph(rng, max_ops=6, with_sections=rng.random() < 0.5)
+        else:
+            g = random_ckks_graph(rng, max_ops=5)
+        yield mutate_text(rng, print_circuit(g))

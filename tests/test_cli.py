@@ -147,6 +147,14 @@ class TestFileInput:
         doc = json.loads(capsys.readouterr().out)
         assert doc["manifest"]["input"] == str(path)
 
+    def test_input_named_like_a_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "--canonicalize").write_text(print_circuit(build_half_adder()))
+        assert main(["--emit", "json", "--", "--canonicalize"]) == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert manifest["input"] == "--canonicalize"
+        assert manifest["passes"] == []
+
     def test_missing_file(self, capsys):
         assert main(["/no/such/file.scifr", "--cggi-estimate"]) == 1
         assert "cannot read" in capsys.readouterr().err
@@ -175,7 +183,7 @@ class TestFileInput:
         assert main([str(path), "--critical-path", "--throughput", "--batch", "8"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"{path}:1:6: error: dependency cycle among operators\n"
+        assert captured.err == f"{path}:2:8: error: dependency cycle among operators\n"
 
     def test_non_value_operand_after_comma(self, tmp_path, capsys):
         path = tmp_path / "bad.scifr"

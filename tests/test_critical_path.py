@@ -116,6 +116,14 @@ class TestTopologicalSort:
         with pytest.raises(ValueError, match="cycle"):
             topological_sort(g)
 
+    def test_duplicate_operator_id_raises(self):
+        # an acyclic chain of two nots whose ids collide
+        a = Operator(0, NOT, (1,), (2,))
+        b = Operator(0, NOT, (2,), (3,))
+        g = CircuitGraph("dup", ((1, LWE),), (a, b), (3,), {})
+        with pytest.raises(ValueError, match="^duplicate operator id 0$"):
+            topological_sort(g)
+
 
 class TestApproximate:
     def test_chain3(self):

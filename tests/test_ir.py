@@ -242,6 +242,43 @@ class TestValidate:
             ("duplicate-id", 0, "duplicate operator id 0")
         ]
 
+    def test_cycle_names_smallest_unreleased_op(self):
+        # ops 1 and 2 form a cycle; op 0 comes before it, op 3 below it
+        ops = (
+            Operator(0, OpKind(OpTag.NOT), (0,), (1,)),
+            Operator(1, OpKind(OpTag.AND), (1, 3), (2,)),
+            Operator(2, OpKind(OpTag.NOT), (2,), (3,)),
+            Operator(3, OpKind(OpTag.NOT), (3,), (4,)),
+        )
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), ops, (4,), {})
+        assert [(v.code, v.op_id) for v in validate(g)] == [("cycle", 1)]
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [(-1, "section must be non-negative"), ((1,), "attribute 'section' must be an integer")],
+    )
+    def test_bad_section(self, section, message):
+        op = Operator(0, OpKind(OpTag.NOT), (0,), (1,), section)
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op,), (1,), {})
+        assert [(v.code, v.op_id, v.attr, v.message) for v in validate(g)] == [
+            ("attr", 0, "section", message)
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, vtype",
+        [
+            (OpKind(OpTag.LUT2, lut=(1, 2)), ValueType.LWE_CIPHERTEXT),
+            (OpKind(OpTag.EXTRACT, index=(0,)), ValueType.CKKS_CIPHERTEXT),
+        ],
+    )
+    def test_wrongly_shaped_attribute(self, kind, vtype):
+        (attr,) = kind.attrs()
+        op = Operator(0, kind, (0,) * kind.arity, (1,))
+        g = CircuitGraph("f", ((0, vtype),), (op,), (1,), {})
+        assert [(v.code, v.attr, v.message) for v in validate(g)] == [
+            ("attr", attr, f"attribute '{attr}' must be an integer")
+        ]
+
     def test_stored_order_need_not_be_topological(self):
         # op 0 consumes op 1's result; stored first anyway
         op1 = Operator(0, OpKind(OpTag.NOT), (3,), (2,))
@@ -378,6 +415,14 @@ class TestEvaluateBool:
         op = Operator(0, OpKind(OpTag.AND), (1, 0), (1,))
         g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op,), (1,), {})
         with pytest.raises(EvaluationError, match="cyclic"):
+            evaluate(g, {0: 1})
+
+    def test_duplicate_operator_id_raises(self):
+        # an acyclic chain of two nots whose ids collide
+        op1 = Operator(0, OpKind(OpTag.NOT), (0,), (1,))
+        op2 = Operator(0, OpKind(OpTag.NOT), (1,), (2,))
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op1, op2), (2,), {})
+        with pytest.raises(EvaluationError, match="^duplicate operator id 0$"):
             evaluate(g, {0: 1})
 
 

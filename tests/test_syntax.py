@@ -1,6 +1,7 @@
 """Text format: lexer, parser, diagnostics, canonical printer."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -50,8 +51,6 @@ class TestPrinter:
         )
 
     def test_section_attr_printed(self):
-        from dataclasses import replace
-
         g = generate_fixture("half-adder")
         ops = tuple(replace(op, section=i) for i, op in enumerate(g.operators))
         text = print_circuit(replace(g, operators=ops))
@@ -150,6 +149,17 @@ class TestParser:
             h = parse(print_circuit(g))
             assert genutil.isomorphic(g, h), name
             assert print_circuit(h) == print_circuit(g)
+
+    @pytest.mark.parametrize("section", [-1, 0, 7])
+    def test_printed_text_parses_iff_graph_validates(self, section):
+        g = generate_fixture("full-adder")
+        g = replace(g, operators=tuple(replace(op, section=section) for op in g.operators))
+        text = print_circuit(g)
+        if validate(g):
+            with pytest.raises(ParseError):
+                parse(text)
+        else:
+            assert genutil.isomorphic(parse(text), g)
 
     def test_roundtrip_random(self):
         rng = random.Random(23)
@@ -303,7 +313,7 @@ class TestDiagnostics:
             "  return %0 : !lwe\n}\n",
             "dependency cycle among operators",
         )
-        assert [(d.span.line, d.span.column) for d in ds] == [(1, 6)]
+        assert [(d.span.line, d.span.column) for d in ds] == [(2, 8)]
 
     @pytest.mark.parametrize("operand", ["xb", "@b", "!b"])
     def test_non_value_operand_after_comma(self, operand):
