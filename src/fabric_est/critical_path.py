@@ -6,11 +6,16 @@ Three methods ship side by side:
   sinks (operators with no consumed results).  Cheap: it covers every
   op of a longest path except its final sink.
 * ``paper_exact_cp`` - the longest unweighted shortest path over all
-  (source argument, sink operator) pairs: one BFS per source, then one
-  parent-chain walk.  A lower bound: shortest paths can bypass long
-  chains through sibling edges.
+  (source argument, sink operator) pairs.  A source's BFS reaches no
+  sink deeper than the greatest height among its consumers, so sources
+  are searched in decreasing bound and only while one can still beat
+  the deepest sink found; then one parent-chain walk.  A lower bound:
+  shortest paths can bypass long chains through sibling edges.
 * ``longest_path_cp`` - exact DAG longest path by operator count, from
   one height per op and a single walk; the reference circuit depth.
+
+paper-exact and longest both read the height table cached on the graph
+(``CircuitGraph.op_heights``), so a run of both computes it once.
 
 All methods use fixed id-ordered tie-breaking, so results are
 deterministic across runs.  Reported depth counts compute operators
@@ -19,7 +24,6 @@ only; the source argument never counts toward depth.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import NamedTuple
@@ -51,14 +55,26 @@ class ThroughputResult(NamedTuple):
     outputs_per_batch_window: int
 
 
+def _order_error(graph: CircuitGraph) -> ValueError:
+    return ValueError(duplicate_id_message(graph) or "graph contains a dependency cycle")
+
+
 def topological_sort(graph: CircuitGraph) -> list[int]:
     """Operator ids in dependency order (Kahn's algorithm; the ready set
     is popped in ascending operator id order).  Raises ValueError on a
     cyclic graph or repeated operator ids, which validate() reports
     beforehand."""
     if graph.topo_order is None:
-        raise ValueError(duplicate_id_message(graph) or "graph contains a dependency cycle")
+        raise _order_error(graph)
     return list(graph.topo_order)
+
+
+def _heights(graph: CircuitGraph) -> dict[int, int]:
+    """graph.op_heights; the ValueError of topological_sort when the
+    graph has no topological order."""
+    if graph.op_heights is None:
+        raise _order_error(graph)
+    return graph.op_heights
 
 
 def _result(method: Method, ops: list[int], unit_time: float) -> CriticalPathResult:
@@ -74,51 +90,84 @@ def approximate_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
     return _result(Method.APPROXIMATE, ops, unit_time)
 
 
+def _bfs(
+    first: tuple[int, ...], op_succs: dict[int, tuple[int, ...]]
+) -> tuple[int, int, dict[int, int]]:
+    """BFS from the ops `first` (depth 1, in order; neighbors ascending).
+
+    Returns the greatest depth at which it reaches a sink, the smallest
+    sink at that depth, and each reached op's parent (-1 for `first`).
+    """
+    parent = dict.fromkeys(first, -1)
+    queue = list(parent)
+    depth, level_end = 1, len(queue)
+    best_depth, best_sink = 0, -1
+    for i, oid in enumerate(queue):  # the FIFO, iterated while it grows
+        if i == level_end:
+            depth, level_end = depth + 1, len(queue)
+        succs = op_succs[oid]
+        if succs:
+            for succ in succs:
+                if succ not in parent:
+                    parent[succ] = oid
+                    queue.append(succ)
+        elif depth > best_depth or oid < best_sink:
+            best_depth, best_sink = depth, oid
+    return best_depth, best_sink, parent
+
+
 def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathResult:
     """Longest of the pairwise shortest source-to-sink paths.
 
-    One BFS per source (argument order, neighbors in ascending id) gives
-    each op a parent and a depth; sinks scan in ascending id and only a
-    strictly deeper one replaces the best, whose parent chain is walked
-    once.  The reported ops exclude the source argument.
+    A source's BFS reaches no sink deeper than its bound, the greatest
+    height among its consumers (0 with none).  Sources are searched in
+    decreasing bound, ties in argument order, until the next bound is
+    at most D, the deepest sink depth seen; D is then exact.  The first
+    argument whose BFS reaches a sink at depth D wins (arguments with a
+    bound below D are skipped), and the parent chain of its smallest
+    sink at D is walked once.  That is the result of one BFS per source
+    in argument order, sinks in ascending id, where only a strictly
+    deeper sink replaces the best.  The reported ops exclude the source
+    argument.
     """
+    height = _heights(graph)
     op_succs = graph.op_succs
-    sinks = sorted(graph.sink_op_ids)
-    best_depth = 0
-    best_parent: dict[int, tuple[int, int]] = {}
-    best_sink = -1
-    for src in graph.argument_ids:
-        parent = {oid: (src, 1) for oid in graph.consumers.get(src, ())}
-        queue = deque(parent)
-        while queue:
-            oid = queue.popleft()
-            depth = parent[oid][1] + 1
-            for succ in op_succs[oid]:
-                if succ not in parent:
-                    parent[succ] = (oid, depth)
-                    queue.append(succ)
-        for sink in sinks:
-            if sink in parent and parent[sink][1] > best_depth:
-                best_depth, best_parent, best_sink = parent[sink][1], parent, sink
+    first = [graph.consumers.get(src, ()) for src in graph.argument_ids]
+    bound = [max([height[c] for c in ops], default=0) for ops in first]
+    searched: set[int] = set()
+    depth = 0
+    best: tuple[int, int, dict[int, int]] | None = None  # argument index, sink, parents
+    for i in sorted(range(len(first)), key=bound.__getitem__, reverse=True):
+        if bound[i] <= depth:
+            break
+        searched.add(i)
+        d, sink, parent = _bfs(first[i], op_succs)
+        if d > depth or (d == depth and i < best[0]):
+            depth, best = d, (i, sink, parent)
+    # An earlier argument not yet searched can still tie the winner.
+    for i in range(best[0] if best else 0):
+        if bound[i] >= depth and i not in searched:
+            d, sink, parent = _bfs(first[i], op_succs)
+            if d == depth:
+                best = (i, sink, parent)
+                break
     ops: list[int] = []
-    node = best_sink
-    for _ in range(best_depth):
-        ops.append(node)
-        node = best_parent[node][0]
-    ops.reverse()
+    if best is not None:
+        _, node, parent = best
+        for _ in range(depth):
+            ops.append(node)
+            node = parent[node]
+        ops.reverse()
     return _result(Method.PAPER_EXACT, ops, unit_time)
 
 
 def longest_path_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathResult:
     """Exact maximum-op-count source-to-sink path; ties pick the
-    lexicographically smallest op-id sequence.  An op's height is the op
-    count of its longest path down to a sink; the walk starts at the
-    smallest op of greatest height and steps to the smallest successor
-    one height lower."""
+    lexicographically smallest op-id sequence.  The walk starts at the
+    smallest op of greatest height (CircuitGraph.op_heights) and steps
+    to the smallest successor one height lower."""
     op_succs = graph.op_succs
-    height: dict[int, int] = {}
-    for oid in reversed(topological_sort(graph)):
-        height[oid] = 1 + max((height[s] for s in op_succs[oid]), default=0)
+    height = _heights(graph)
     ops: list[int] = []
     node = min(height, key=lambda oid: (-height[oid], oid), default=None)
     while node is not None:

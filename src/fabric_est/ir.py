@@ -13,6 +13,7 @@ is involved anywhere.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from functools import cached_property
@@ -125,6 +126,15 @@ KIND_ATTRS: dict[str, type] = {
 }
 
 
+# The name spellings of the textual IR, after their sigils: `%` value names
+# and `@` function names.  The lexer is built from these, and validate()
+# holds every graph to them, so that its printed text parses.
+VALUE_NAME = r"[A-Za-z0-9_]+"
+FUNC_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_VALUE_NAME_RE = re.compile(VALUE_NAME)
+_FUNC_NAME_RE = re.compile(FUNC_NAME)
+
+
 def attr_shape_problem(name: str, value: object) -> str | None:
     """The message for an attribute value of the wrong shape, else None.
     Names outside KIND_ATTRS, such as `section`, hold one integer."""
@@ -159,9 +169,10 @@ class OpKind:
     index: int | None = None
 
     def __post_init__(self) -> None:
-        if self.coeffs is not None and not isinstance(self.coeffs, tuple):
+        # Lists become tuples; any other shape is left to validate().
+        if isinstance(self.coeffs, list):
             object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.luts is not None and not isinstance(self.luts, tuple):
+        if isinstance(self.luts, list):
             object.__setattr__(self, "luts", tuple(self.luts))
 
     @property
@@ -175,7 +186,7 @@ class OpKind:
         if tag is OpTag.LUT3:
             return 3
         if tag in (OpTag.LUT_LINCOMB, OpTag.MULTI_LUT_LINCOMB):
-            return len(self.coeffs) if self.coeffs else None
+            return len(self.coeffs) if isinstance(self.coeffs, tuple) and self.coeffs else None
         if tag in CKKS_BINARY:
             return 2
         return 1  # rotate, extract, negate, relinearize, rescale
@@ -183,7 +194,7 @@ class OpKind:
     @property
     def num_results(self) -> int | None:
         if self.tag is OpTag.MULTI_LUT_LINCOMB:
-            return len(self.luts) if self.luts else None
+            return len(self.luts) if isinstance(self.luts, tuple) and self.luts else None
         return 1
 
     def attrs(self) -> dict[str, int | tuple[int, ...]]:
@@ -305,6 +316,22 @@ class CircuitGraph:
                 if indeg[succ] == 0:
                     heapq.heappush(ready, succ)
         return tuple(order)
+
+    @cached_property
+    def op_heights(self) -> dict[int, int] | None:
+        """Per operator, the op count of its longest path down to a sink
+        (1 for a sink), from one pass over the reversed topological
+        order; None on a cycle, as topo_order."""
+        order = self.topo_order
+        if order is None:
+            return None
+        succs = self.op_succs
+        height: dict[int, int] = {}
+        get = height.__getitem__
+        for oid in reversed(order):
+            below = succs[oid]
+            height[oid] = 1 + max(map(get, below)) if below else 1
+        return height
 
     @cached_property
     def sink_op_ids(self) -> frozenset[int]:
@@ -474,25 +501,30 @@ def validate(graph: CircuitGraph) -> list[Violation]:
     """Return every structural violation; an empty list means valid.
 
     Checked: unique operator ids (duplicate-id), single definition per
-    value (double-def), defined operands and returns (use-before-def),
-    operand/result arity, attribute presence, shapes and LUT mask ranges,
-    non-negative sections, operand types per dialect, and acyclicity (only
-    when the ids are unique; the violation names the smallest op id on or
-    below a cycle).
+    value (double-def), function and value names that the printer can
+    write back, one value per name (name), defined operands and returns
+    (use-before-def), operand/result arity, attribute presence, shapes
+    and LUT mask ranges, non-negative sections, operand types per
+    dialect, and acyclicity (only when the ids are unique; the violation
+    names the smallest op id on or below a cycle).
     """
     violations: list[Violation] = []
+    if not _FUNC_NAME_RE.fullmatch(graph.name):
+        violations.append(Violation("name", f"function name @{graph.name} is not an identifier"))
     defined: set[ValueId] = set()
+    names: set[str] = set()
 
     def define(vid: ValueId, op_id: int | None) -> None:
+        name = graph.display_name(vid)
         if vid in defined:
-            violations.append(
-                Violation(
-                    "double-def",
-                    f"value %{graph.display_name(vid)} defined more than once",
-                    op_id,
-                )
-            )
+            violations.append(Violation("double-def", f"value %{name} defined more than once", op_id))
+            return
         defined.add(vid)
+        if not _VALUE_NAME_RE.fullmatch(name):
+            violations.append(Violation("name", f"value name %{name} is not a valid name", op_id))
+        elif name in names:
+            violations.append(Violation("name", f"value name %{name} is used more than once", op_id))
+        names.add(name)
 
     for vid, _ in graph.arguments:
         define(vid, None)

@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
 from .ir import (
+    FUNC_NAME,
     KIND_ATTRS,
+    VALUE_NAME,
     CircuitGraph,
     OpKind,
     Operator,
@@ -95,8 +97,12 @@ _TOKEN_RE = re.compile(
     | (?P<comment>//[^\n]*)
     | (?P<arrow>->)
     | (?P<punct>[(){}\[\],=:])
-    | (?P<value>%[A-Za-z0-9_]+)
-    | (?P<at>@[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<value>%"""
+    + VALUE_NAME
+    + r""")
+    | (?P<at>@"""
+    + FUNC_NAME
+    + r""")
     | (?P<type>![A-Za-z_]+)
     | (?P<int>-?[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)

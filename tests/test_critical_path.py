@@ -20,7 +20,7 @@ from fabric_est import (
     throughput,
     topological_sort,
 )
-from fabric_est.fixtures import build_ripple_adder, build_table3_mult8
+from fabric_est.fixtures import build_ripple_adder, build_table3_mult8, generate_from_spec
 from fabric_est.ir import CircuitGraph, Operator
 
 LWE = ValueType.LWE_CIPHERTEXT
@@ -81,6 +81,19 @@ def empty_graph():
     return b.build()
 
 
+def cycle_graph() -> CircuitGraph:
+    a = Operator(0, AND, (1, 3), (2,))
+    c = Operator(1, NOT, (2,), (3,))
+    return CircuitGraph("loop", ((1, LWE),), (a, c), (2,), {})
+
+
+def duplicate_id_graph() -> CircuitGraph:
+    # an acyclic chain of two nots whose ids collide
+    a = Operator(0, NOT, (1,), (2,))
+    b = Operator(0, NOT, (2,), (3,))
+    return CircuitGraph("dup", ((1, LWE),), (a, b), (3,), {})
+
+
 class TestTopologicalSort:
     def test_chain_order(self):
         assert topological_sort(chain(3)) == [0, 1, 2]
@@ -110,19 +123,25 @@ class TestTopologicalSort:
                         assert pos[g.producers[v].id] < pos[op.id]
 
     def test_cycle_raises(self):
-        a = Operator(0, AND, (1, 3), (2,))
-        c = Operator(1, NOT, (2,), (3,))
-        g = CircuitGraph("loop", ((1, LWE),), (a, c), (2,), {})
         with pytest.raises(ValueError, match="cycle"):
-            topological_sort(g)
+            topological_sort(cycle_graph())
 
     def test_duplicate_operator_id_raises(self):
-        # an acyclic chain of two nots whose ids collide
-        a = Operator(0, NOT, (1,), (2,))
-        b = Operator(0, NOT, (2,), (3,))
-        g = CircuitGraph("dup", ((1, LWE),), (a, b), (3,), {})
         with pytest.raises(ValueError, match="^duplicate operator id 0$"):
-            topological_sort(g)
+            topological_sort(duplicate_id_graph())
+
+    @pytest.mark.parametrize("method", [approximate_cp, paper_exact_cp, longest_path_cp])
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            (cycle_graph, "^graph contains a dependency cycle$"),
+            (duplicate_id_graph, "^duplicate operator id 0$"),
+        ],
+        ids=["cycle", "duplicate-id"],
+    )
+    def test_methods_raise_like_topological_sort(self, method, graph, message):
+        with pytest.raises(ValueError, match=message):
+            method(graph())
 
 
 class TestApproximate:
@@ -182,6 +201,15 @@ class TestPaperExact:
             for prev, nxt in zip(ops, ops[1:]):
                 results = set(g.operator(prev).results)
                 assert results & set(g.operator(nxt).operands)
+
+    @pytest.mark.parametrize(
+        "spec, runs, sources",
+        [("ripple-adder:2000", 1, 4000), ("array-mult:8", 16, 16), ("ckks-box-blur:4096", 1, 2)],
+    )
+    def test_bfs_runs_only_from_sources_that_can_win(self, bfs_runs, spec, runs, sources):
+        g = generate_from_spec(spec)
+        paper_exact_cp(g)
+        assert (len(bfs_runs), len(g.argument_ids)) == (runs, sources)
 
 
 class TestLongestPath:

@@ -12,8 +12,11 @@ from fabric_est import (
     OpKind,
     Operator,
     OpTag,
+    ParseError,
     ValueType,
     evaluate,
+    parse,
+    print_circuit,
     validate,
 )
 from fabric_est.ir import (
@@ -278,6 +281,40 @@ class TestValidate:
         assert [(v.code, v.attr, v.message) for v in validate(g)] == [
             ("attr", attr, f"attribute '{attr}' must be an integer")
         ]
+
+    @pytest.mark.parametrize(
+        "tag, attrs, attr",
+        [
+            (OpTag.LUT_LINCOMB, {"coeffs": 3, "lut": 1}, "coeffs"),
+            (OpTag.MULTI_LUT_LINCOMB, {"coeffs": (1,), "luts": 5}, "luts"),
+        ],
+        ids=["coeffs", "luts"],
+    )
+    def test_integer_given_for_a_list(self, tag, attrs, attr):
+        kind = OpKind(tag, **attrs)
+        assert kind.arity is None or kind.num_results is None
+        op = Operator(0, kind, (0,), (1,))
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op,), (1,), {})
+        assert [(v.code, v.attr, v.message) for v in validate(g)] == [
+            ("attr", attr, f"attribute '{attr}' must be an integer list")
+        ]
+
+    @pytest.mark.parametrize(
+        "func, names, message",
+        [
+            ("my-func", {}, "function name @my-func is not an identifier"),
+            ("f", {0: "x y"}, "value name %x y is not a valid name"),
+            ("f", {0: "a", 1: "a"}, "value name %a is used more than once"),
+            ("f", {0: "1"}, "value name %1 is used more than once"),  # value 1 prints as %1
+        ],
+        ids=["function", "value", "shared", "shared-with-an-id"],
+    )
+    def test_names_that_do_not_print_back(self, func, names, message):
+        op = Operator(0, OpKind(OpTag.NOT), (0,), (1,))
+        g = CircuitGraph(func, ((0, ValueType.LWE_CIPHERTEXT),), (op,), (1,), names)
+        assert [(v.code, v.message) for v in validate(g)] == [("name", message)]
+        with pytest.raises(ParseError):
+            parse(print_circuit(g))
 
     def test_stored_order_need_not_be_topological(self):
         # op 0 consumes op 1's result; stored first anyway

@@ -9,6 +9,10 @@ import pytest
 import genutil
 import oracles
 from fabric_est import (
+    GraphBuilder,
+    OpKind,
+    OpTag,
+    ValueType,
     approximate_cp,
     generate_fixture,
     longest_path_cp,
@@ -16,6 +20,9 @@ from fabric_est import (
     topological_sort,
 )
 from fabric_est.fixtures import fixture_names, generate_from_spec
+
+NOT = OpKind(OpTag.NOT)
+AND = OpKind(OpTag.AND)
 
 METHODS = (
     (approximate_cp, oracles.approximate_cp),
@@ -93,3 +100,55 @@ def test_longest_path_memory_is_linear():
         tracemalloc.stop()
     assert result.depth == 4097
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("spec", ["ripple-adder:100", "ripple-adder:200"])
+def test_pruned_ripple_adders(spec):
+    g = generate_from_spec(spec)
+    assert_matches_oracle(g)
+    assert_matches_oracle(genutil.permute_operators(g, random.Random(spec)))
+
+
+def two_source_graph(chain: int):
+    """Arguments `a`, then `b`.  `a` feeds a chain of `chain` nots (ops
+    0..chain-1).  `b` feeds op p (id `chain`, height 4), whose sink
+    and(p, r) it reaches in 2 ops as well as through p, q, r: bound 4,
+    depth 2."""
+    gb = GraphBuilder("two_sources")
+    last = gb.argument(ValueType.LWE_CIPHERTEXT, "a")
+    b = gb.argument(ValueType.LWE_CIPHERTEXT, "b")
+    for _ in range(chain):
+        last = gb.op(NOT, last)
+    p = gb.op(NOT, b)
+    r = gb.op(NOT, gb.op(NOT, p))
+    gb.ret(last, gb.op(AND, p, r))
+    return gb.build()
+
+
+def test_tie_goes_to_the_earlier_argument(bfs_runs):
+    # `b` (bound 4) is searched first and reaches depth 2; `a` (bound 2)
+    # ties it and wins because it comes first.
+    g = two_source_graph(2)
+    result = paper_exact_cp(g)
+    assert bfs_runs == [(2,), (0,)]
+    assert result == oracles.paper_exact_cp(g)
+    assert result.ops == (0, 1)
+
+
+def test_loose_bound_is_not_the_winner(bfs_runs):
+    # `b` has the greatest bound (4) but reaches only depth 2; `a`,
+    # searched after it (bound 3), reaches depth 3.
+    g = two_source_graph(3)
+    result = paper_exact_cp(g)
+    assert bfs_runs == [(3,), (0,)]
+    assert result == oracles.paper_exact_cp(g)
+    assert result.ops == (0, 1, 2)
+
+
+def test_many_argument_random_graphs():
+    rng = random.Random(6151)
+    for i in range(1000):
+        g = genutil.random_bool_graph(rng, max_ops=200, max_args=64)
+        if i % 2:
+            g = genutil.permute_operators(g, rng)
+        assert paper_exact_cp(g, 2.0) == oracles.paper_exact_cp(g, 2.0)
