@@ -22,7 +22,7 @@ from .cost import (
 )
 from .critical_path import Method, compute, throughput
 from .fixtures import FixtureError, generate_fixture, parse_fixture_spec
-from .ir import BOOL_TAGS, CKKS_TAGS, CircuitGraph
+from .ir import CircuitGraph
 from .report import RunManifest, emit_report
 from .syntax import ParseError, parse, print_circuit
 from .transforms import TransformError, canonicalize, lower_gates, sectionize
@@ -93,9 +93,9 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _check_dialect(graph: CircuitGraph, flag: str, allowed, label: str) -> str | None:
+def _check_dialect(graph: CircuitGraph, flag: str, dialect: str, label: str) -> str | None:
     for op in graph.operators:
-        if op.kind.tag not in allowed:
+        if op.kind.tag.dialect != dialect:
             return (
                 f"{flag}: graph uses non-{label} op"
                 f" '{op.kind.tag.opname}' (op {op.id})"
@@ -186,9 +186,9 @@ def main(argv: list[str] | None = None) -> int:
     resources = None
     if args.cggi_estimate or args.ckks_estimate:
         if args.cggi_estimate:
-            problem = _check_dialect(graph, "--cggi-estimate", BOOL_TAGS, "Boolean")
+            problem = _check_dialect(graph, "--cggi-estimate", "bool", "Boolean")
         else:
-            problem = _check_dialect(graph, "--ckks-estimate", CKKS_TAGS, "CKKS")
+            problem = _check_dialect(graph, "--ckks-estimate", "ckks", "CKKS")
         if problem is not None:
             return _fail(problem)
         resources = estimate(graph, config, costs)

@@ -127,7 +127,7 @@ def _config_from_dict(doc: object) -> tuple[FabricConfig, CostTable]:
         fields["chips_per_board"] = _require_int(fabric_doc["chips_per_board"], "chips_per_board", 1)
     if "unit_time_per_gate" in fabric_doc:
         ut = fabric_doc["unit_time_per_gate"]
-        if isinstance(ut, bool) or not isinstance(ut, (int, float)) or ut <= 0:
+        if isinstance(ut, bool) or not isinstance(ut, (int, float)) or not 0 < ut < math.inf:
             raise ConfigError(f"unit_time_per_gate must be a positive number, got {ut!r}")
         fields["unit_time_per_gate"] = float(ut)
     config = FabricConfig(**fields)

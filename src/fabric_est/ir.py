@@ -33,87 +33,65 @@ class ValueType(Enum):
 
 @unique
 class OpTag(Enum):
-    """Operator mnemonics of both dialects; values match the textual IR
-    and the cost-config keys."""
+    """Operator mnemonics of both dialects, one row of facts per tag.
 
-    # Boolean dialect (scifr_bool)
-    AND = "and"
-    NAND = "nand"
-    NOR = "nor"
-    OR = "or"
-    XOR = "xor"
-    XNOR = "xnor"
-    NOT = "not"
-    PACKED = "packed"
-    LUT2 = "lut2"
-    LUT3 = "lut3"
-    LUT_LINCOMB = "lut_lincomb"
-    MULTI_LUT_LINCOMB = "multi_lut_lincomb"
-    # CKKS dialect (scifr_ckks)
-    ADD = "add"
-    ADD_PLAIN = "add_plain"
-    SUB = "sub"
-    SUB_PLAIN = "sub_plain"
-    MUL = "mul"
-    MUL_PLAIN = "mul_plain"
-    ROTATE = "rotate"
-    EXTRACT = "extract"
-    NEGATE = "negate"
-    RELINEARIZE = "relinearize"
-    RESCALE = "rescale"
+    The value is the IR spelling (and the cost-config key).  Each tag
+    also carries its dialect, its operand count (None for the lincomb
+    ops, which take one operand per coefficient), the attributes it
+    requires (every listed one is mandatory) and its report label.
+    """
 
-    @property
-    def dialect(self) -> str:
-        return "bool" if self in BOOL_TAGS else "ckks"
+    dialect: str
+    arity: int | None
+    required: tuple[str, ...]
+    label: str
+    opname: str
+    result_type: ValueType
 
-    @property
-    def opname(self) -> str:
-        prefix = "scifr_bool" if self in BOOL_TAGS else "scifr_ckks"
-        return f"{prefix}.{self.value}"
+    AND = "and", "bool", 2, (), "AndOp"
+    NAND = "nand", "bool", 2, (), "NandOp"
+    NOR = "nor", "bool", 2, (), "NorOp"
+    OR = "or", "bool", 2, (), "OrOp"
+    XOR = "xor", "bool", 2, (), "XorOp"
+    XNOR = "xnor", "bool", 2, (), "XNorOp"
+    NOT = "not", "bool", 1, (), "NotOp"
+    PACKED = "packed", "bool", 1, (), "PackedOp"
+    LUT2 = "lut2", "bool", 2, ("lut",), "Lut2Op"
+    LUT3 = "lut3", "bool", 3, ("lut",), "Lut3Op"
+    LUT_LINCOMB = "lut_lincomb", "bool", None, ("coeffs", "lut"), "LutLinCombOp"
+    MULTI_LUT_LINCOMB = "multi_lut_lincomb", "bool", None, ("coeffs", "luts"), "MultiLutLinCombOp"
+    ADD = "add", "ckks", 2, (), "AddOp"
+    ADD_PLAIN = "add_plain", "ckks", 2, (), "AddPlainOp"
+    SUB = "sub", "ckks", 2, (), "SubOp"
+    SUB_PLAIN = "sub_plain", "ckks", 2, (), "SubPlainOp"
+    MUL = "mul", "ckks", 2, (), "MulOp"
+    MUL_PLAIN = "mul_plain", "ckks", 2, (), "MulPlainOp"
+    ROTATE = "rotate", "ckks", 1, ("offset",), "RotateOp"
+    EXTRACT = "extract", "ckks", 1, ("index",), "ExtractOp"
+    NEGATE = "negate", "ckks", 1, (), "NegateOp"
+    RELINEARIZE = "relinearize", "ckks", 1, (), "RelinearizeOp"
+    RESCALE = "rescale", "ckks", 1, (), "RescaleOp"
 
-    @property
-    def result_type(self) -> ValueType:
-        if self in BOOL_TAGS:
-            return ValueType.LWE_CIPHERTEXT
-        return ValueType.CKKS_CIPHERTEXT
+    def __new__(cls, value, dialect, arity, required, label):
+        tag = object.__new__(cls)
+        tag._value_ = value
+        tag.dialect = dialect
+        tag.arity = arity
+        tag.required = required
+        tag.label = label
+        tag.opname = f"scifr_{dialect}.{value}"
+        tag.result_type = ValueType.LWE_CIPHERTEXT if dialect == "bool" else ValueType.CKKS_CIPHERTEXT
+        return tag
 
 
-BOOL_TAGS = frozenset(
-    {
-        OpTag.AND,
-        OpTag.NAND,
-        OpTag.NOR,
-        OpTag.OR,
-        OpTag.XOR,
-        OpTag.XNOR,
-        OpTag.NOT,
-        OpTag.PACKED,
-        OpTag.LUT2,
-        OpTag.LUT3,
-        OpTag.LUT_LINCOMB,
-        OpTag.MULTI_LUT_LINCOMB,
-    }
-)
+BOOL_TAGS = frozenset(tag for tag in OpTag if tag.dialect == "bool")
 CKKS_TAGS = frozenset(OpTag) - BOOL_TAGS
 
 TWO_INPUT_GATES = frozenset(
     {OpTag.AND, OpTag.NAND, OpTag.NOR, OpTag.OR, OpTag.XOR, OpTag.XNOR}
 )
-CKKS_BINARY = frozenset(
-    {OpTag.ADD, OpTag.ADD_PLAIN, OpTag.SUB, OpTag.SUB_PLAIN, OpTag.MUL, OpTag.MUL_PLAIN}
-)
 # Binary CKKS ops whose second operand is a plaintext vector.
 PLAIN_OPERAND_TAGS = frozenset({OpTag.ADD_PLAIN, OpTag.SUB_PLAIN, OpTag.MUL_PLAIN})
-
-# Attribute names each tag requires (every listed attribute is mandatory).
-REQUIRED_ATTRS: dict[OpTag, tuple[str, ...]] = {
-    OpTag.LUT2: ("lut",),
-    OpTag.LUT3: ("lut",),
-    OpTag.LUT_LINCOMB: ("coeffs", "lut"),
-    OpTag.MULTI_LUT_LINCOMB: ("coeffs", "luts"),
-    OpTag.ROTATE: ("offset",),
-    OpTag.EXTRACT: ("index",),
-}
 
 # OpKind's attributes, in the order validate() reports them, each with its
 # shape: an integer list (tuple) or one integer (int).
@@ -153,13 +131,9 @@ def lut_mask_bound(arity: int) -> int:
 
 @dataclass(frozen=True)
 class OpKind:
-    """An operator kind: a tag plus the attributes that tag requires.
-
-    Attribute use by tag: lut2/lut3 take `lut`; lut_lincomb takes
-    `coeffs` and `lut`; multi_lut_lincomb takes `coeffs` and `luts`
-    (one mask per result); rotate takes a signed `offset`; extract a
-    non-negative `index`.  All other tags take no attributes.
-    """
+    """An operator kind: a tag plus the attributes that tag requires
+    (OpTag.required).  `luts` holds one mask per result, `offset` is
+    signed and `index` non-negative."""
 
     tag: OpTag
     lut: int | None = None
@@ -177,19 +151,11 @@ class OpKind:
 
     @property
     def arity(self) -> int | None:
-        """Operand count, or None when it cannot be derived (bad attrs)."""
-        tag = self.tag
-        if tag in (OpTag.NOT, OpTag.PACKED):
-            return 1
-        if tag in TWO_INPUT_GATES or tag is OpTag.LUT2:
-            return 2
-        if tag is OpTag.LUT3:
-            return 3
-        if tag in (OpTag.LUT_LINCOMB, OpTag.MULTI_LUT_LINCOMB):
-            return len(self.coeffs) if isinstance(self.coeffs, tuple) and self.coeffs else None
-        if tag in CKKS_BINARY:
-            return 2
-        return 1  # rotate, extract, negate, relinearize, rescale
+        """Operand count, or None when it cannot be derived (bad attrs):
+        the tag's own count, else one operand per coefficient."""
+        if self.tag.arity is not None:
+            return self.tag.arity
+        return len(self.coeffs) if isinstance(self.coeffs, tuple) and self.coeffs else None
 
     @property
     def num_results(self) -> int | None:
@@ -268,6 +234,17 @@ class CircuitGraph:
             for v in op.operands:
                 cons.setdefault(v, set()).add(op.id)
         return {v: tuple(sorted(s)) for v, s in cons.items()}
+
+    @cached_property
+    def argument_consumers(self) -> tuple[tuple[int, ...], ...]:
+        """Consuming operator ids per argument, aligned with argument_ids,
+        sorted and deduplicated."""
+        cons: dict[ValueId, set[int]] = {vid: set() for vid in self.argument_ids}
+        for op in self.operators:
+            for v in op.operands:
+                if v in cons:
+                    cons[v].add(op.id)
+        return tuple(tuple(sorted(cons[vid])) for vid in self.argument_ids)
 
     @cached_property
     def op_preds(self) -> dict[int, tuple[int, ...]]:
@@ -452,7 +429,7 @@ def kind_attr_problems(kind: OpKind, op_id: int | None = None) -> list[Violation
     """Attribute problems on one kind, each naming its attribute."""
     problems: list[Violation] = []
     tag = kind.tag
-    allowed = REQUIRED_ATTRS.get(tag, ())
+    allowed = tag.required
 
     def problem(code: str, message: str, attr: str) -> None:
         problems.append(Violation(code, message, op_id, attr))
@@ -479,12 +456,12 @@ def kind_attr_problems(kind: OpKind, op_id: int | None = None) -> list[Violation
     arity = kind.arity
     if arity is not None:
         bound = lut_mask_bound(arity)
-        if tag in (OpTag.LUT2, OpTag.LUT3, OpTag.LUT_LINCOMB) and kind.lut is not None:
+        if "lut" in allowed and kind.lut is not None:
             if not 0 <= kind.lut < bound:
                 problem(
                     "lut-range", f"LUT mask out of range: {kind.lut} not in [0, {bound})", "lut"
                 )
-        if tag is OpTag.MULTI_LUT_LINCOMB and kind.luts:
+        if "luts" in allowed and kind.luts:
             for i, mask in enumerate(kind.luts):
                 if not 0 <= mask < bound:
                     problem(
@@ -584,12 +561,11 @@ def validate(graph: CircuitGraph) -> list[Violation]:
             vt = types.get(v)
             if vt is None:
                 continue  # undefined operand already reported
-            if tag in BOOL_TAGS:
-                want = ValueType.LWE_CIPHERTEXT
-            elif tag in PLAIN_OPERAND_TAGS and slot == 1:
+            # An op's operands are its dialect's ciphertext, like its
+            # results, but for the plaintext second operand.
+            want = tag.result_type
+            if tag in PLAIN_OPERAND_TAGS and slot == 1:
                 want = ValueType.CKKS_PLAINTEXT
-            else:
-                want = ValueType.CKKS_CIPHERTEXT
             if vt is not want:
                 violations.append(
                     Violation(

@@ -14,32 +14,6 @@ from .cost import ResourceReport
 from .critical_path import CriticalPathResult, Method, ThroughputResult
 from .ir import OpTag
 
-_TAG_LABELS: dict[OpTag, str] = {
-    OpTag.AND: "AndOp",
-    OpTag.NAND: "NandOp",
-    OpTag.NOR: "NorOp",
-    OpTag.OR: "OrOp",
-    OpTag.XOR: "XorOp",
-    OpTag.XNOR: "XNorOp",
-    OpTag.NOT: "NotOp",
-    OpTag.PACKED: "PackedOp",
-    OpTag.LUT2: "Lut2Op",
-    OpTag.LUT3: "Lut3Op",
-    OpTag.LUT_LINCOMB: "LutLinCombOp",
-    OpTag.MULTI_LUT_LINCOMB: "MultiLutLinCombOp",
-    OpTag.ADD: "AddOp",
-    OpTag.ADD_PLAIN: "AddPlainOp",
-    OpTag.SUB: "SubOp",
-    OpTag.SUB_PLAIN: "SubPlainOp",
-    OpTag.MUL: "MulOp",
-    OpTag.MUL_PLAIN: "MulPlainOp",
-    OpTag.ROTATE: "RotateOp",
-    OpTag.EXTRACT: "ExtractOp",
-    OpTag.NEGATE: "NegateOp",
-    OpTag.RELINEARIZE: "RelinearizeOp",
-    OpTag.RESCALE: "RescaleOp",
-}
-
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -72,7 +46,7 @@ def render_text(
     lines: list[str] = []
     if resources is not None:
         rows = [
-            (_TAG_LABELS[tag], fcs)
+            (tag.label, fcs)
             for tag, fcs in resources.per_kind_fcs.items()
             if fcs
         ]

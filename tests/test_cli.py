@@ -30,6 +30,16 @@ def make_config_doc(**fabric):
     return doc
 
 
+def strict_json(text):
+    """Parse a report, failing on the NaN and Infinity tokens that
+    json.loads accepts but JSON does not have."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -329,6 +339,30 @@ class TestConfig:
         path.write_text("{not json")
         assert main(["--fixture", "half-adder", "--config", str(path)]) == 1
         assert "malformed JSON config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_file", [False, True], ids=["profile", "config-file"])
+    def test_json_report_is_strict(self, config_file, tmp_path, capsys):
+        argv = ["--fixture", "table3-mult8", "--critical-path", "--throughput",
+                "--batch", "8", "--emit", "json"]
+        if config_file:
+            path = tmp_path / "hw.json"
+            path.write_text(json.dumps(make_config_doc(unit_time_per_gate=2.5)))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["throughput"]["batch"] == 8
+        assert len(doc["critical_path"]) == 3
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_unit_time(self, token, tmp_path, capsys):
+        path = tmp_path / "hw.json"
+        path.write_text(json.dumps(make_config_doc(unit_time_per_gate=float(token))))
+        argv = ["--fixture", "half-adder", "--critical-path", "--config", str(path),
+                "--emit", "json"]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unit_time_per_gate must be a positive number" in out.err
 
     def test_profile_flag(self, capsys):
         assert main(

@@ -231,6 +231,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown fabric field 'slots'"):
             load_config(json.dumps(make_config_doc(slots=8)))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_unit_time_rejected(self, token):
+        # json.loads accepts these tokens; the value must still be finite
+        text = json.dumps(make_config_doc(unit_time_per_gate=float(token)))
+        assert token in text
+        with pytest.raises(ConfigError) as info:
+            load_config(text)
+        assert str(info.value) == (
+            f"unit_time_per_gate must be a positive number, got {float(token)!r}"
+        )
+
     def test_non_integer_fields_rejected(self):
         with pytest.raises(ConfigError):
             load_config(json.dumps(make_config_doc(fcs_per_chip="big")))

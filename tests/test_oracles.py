@@ -20,6 +20,7 @@ from fabric_est import (
     topological_sort,
 )
 from fabric_est.fixtures import fixture_names, generate_from_spec
+from fabric_est.ir import BOOL_TAGS, CKKS_TAGS, TWO_INPUT_GATES
 
 NOT = OpKind(OpTag.NOT)
 AND = OpKind(OpTag.AND)
@@ -34,7 +35,7 @@ METHODS = (
 def assert_matches_oracle(g):
     assert topological_sort(g) == oracles.operator_topo_order(g)
     arg_succs, op_succs = oracles._dependency_succs(g)
-    assert {v: list(g.consumers.get(v, ())) for v in g.argument_ids} == arg_succs
+    assert [list(c) for c in g.argument_consumers] == [arg_succs[v] for v in g.argument_ids]
     assert {oid: list(s) for oid, s in g.op_succs.items()} == op_succs
     for method, oracle in METHODS:
         assert method(g, 2.0) == oracle(g, 2.0), method.__name__
@@ -152,3 +153,130 @@ def test_many_argument_random_graphs():
         if i % 2:
             g = genutil.permute_operators(g, rng)
         assert paper_exact_cp(g, 2.0) == oracles.paper_exact_cp(g, 2.0)
+
+
+# The per-tag facts as they were stated before they moved onto OpTag:
+# verbatim copies of ir.BOOL_TAGS, CKKS_BINARY, REQUIRED_ATTRS, the
+# OpTag.opname/result_type properties, OpKind.arity/num_results, and
+# report._TAG_LABELS.  Change nothing here when the library changes.
+
+OLD_BOOL_TAGS = frozenset(
+    {
+        OpTag.AND,
+        OpTag.NAND,
+        OpTag.NOR,
+        OpTag.OR,
+        OpTag.XOR,
+        OpTag.XNOR,
+        OpTag.NOT,
+        OpTag.PACKED,
+        OpTag.LUT2,
+        OpTag.LUT3,
+        OpTag.LUT_LINCOMB,
+        OpTag.MULTI_LUT_LINCOMB,
+    }
+)
+OLD_CKKS_TAGS = frozenset(OpTag) - OLD_BOOL_TAGS
+
+OLD_CKKS_BINARY = frozenset(
+    {OpTag.ADD, OpTag.ADD_PLAIN, OpTag.SUB, OpTag.SUB_PLAIN, OpTag.MUL, OpTag.MUL_PLAIN}
+)
+
+OLD_REQUIRED_ATTRS: dict[OpTag, tuple[str, ...]] = {
+    OpTag.LUT2: ("lut",),
+    OpTag.LUT3: ("lut",),
+    OpTag.LUT_LINCOMB: ("coeffs", "lut"),
+    OpTag.MULTI_LUT_LINCOMB: ("coeffs", "luts"),
+    OpTag.ROTATE: ("offset",),
+    OpTag.EXTRACT: ("index",),
+}
+
+OLD_TAG_LABELS: dict[OpTag, str] = {
+    OpTag.AND: "AndOp",
+    OpTag.NAND: "NandOp",
+    OpTag.NOR: "NorOp",
+    OpTag.OR: "OrOp",
+    OpTag.XOR: "XorOp",
+    OpTag.XNOR: "XNorOp",
+    OpTag.NOT: "NotOp",
+    OpTag.PACKED: "PackedOp",
+    OpTag.LUT2: "Lut2Op",
+    OpTag.LUT3: "Lut3Op",
+    OpTag.LUT_LINCOMB: "LutLinCombOp",
+    OpTag.MULTI_LUT_LINCOMB: "MultiLutLinCombOp",
+    OpTag.ADD: "AddOp",
+    OpTag.ADD_PLAIN: "AddPlainOp",
+    OpTag.SUB: "SubOp",
+    OpTag.SUB_PLAIN: "SubPlainOp",
+    OpTag.MUL: "MulOp",
+    OpTag.MUL_PLAIN: "MulPlainOp",
+    OpTag.ROTATE: "RotateOp",
+    OpTag.EXTRACT: "ExtractOp",
+    OpTag.NEGATE: "NegateOp",
+    OpTag.RELINEARIZE: "RelinearizeOp",
+    OpTag.RESCALE: "RescaleOp",
+}
+
+
+def old_dialect(self) -> str:
+    return "bool" if self in OLD_BOOL_TAGS else "ckks"
+
+
+def old_opname(self) -> str:
+    prefix = "scifr_bool" if self in OLD_BOOL_TAGS else "scifr_ckks"
+    return f"{prefix}.{self.value}"
+
+
+def old_result_type(self) -> ValueType:
+    if self in OLD_BOOL_TAGS:
+        return ValueType.LWE_CIPHERTEXT
+    return ValueType.CKKS_CIPHERTEXT
+
+
+def old_arity(self) -> int | None:
+    """Operand count, or None when it cannot be derived (bad attrs)."""
+    tag = self.tag
+    if tag in (OpTag.NOT, OpTag.PACKED):
+        return 1
+    if tag in TWO_INPUT_GATES or tag is OpTag.LUT2:
+        return 2
+    if tag is OpTag.LUT3:
+        return 3
+    if tag in (OpTag.LUT_LINCOMB, OpTag.MULTI_LUT_LINCOMB):
+        return len(self.coeffs) if isinstance(self.coeffs, tuple) and self.coeffs else None
+    if tag in OLD_CKKS_BINARY:
+        return 2
+    return 1  # rotate, extract, negate, relinearize, rescale
+
+
+def old_num_results(self) -> int | None:
+    if self.tag is OpTag.MULTI_LUT_LINCOMB:
+        return len(self.luts) if isinstance(self.luts, tuple) and self.luts else None
+    return 1
+
+
+@pytest.mark.parametrize("tag", list(OpTag), ids=lambda tag: tag.value)
+def test_tag_table_matches_old_facts(tag):
+    assert tag.opname == old_opname(tag)
+    assert tag.result_type is old_result_type(tag)
+    assert tag.dialect == old_dialect(tag)
+    assert tag.required == OLD_REQUIRED_ATTRS.get(tag, ())
+    assert tag.label == OLD_TAG_LABELS[tag]
+
+
+def test_tag_order_and_sets_match_old():
+    assert list(OpTag) == list(OLD_TAG_LABELS)  # declaration order
+    assert all(OpTag(tag.value) is tag for tag in OpTag)
+    assert BOOL_TAGS == OLD_BOOL_TAGS
+    assert CKKS_TAGS == OLD_CKKS_TAGS
+
+
+def test_kind_counts_match_old_if_chain():
+    # coeffs/luts of length 0-3 and a non-tuple shape, on every tag
+    shapes = [None, (), (1,), (1, 2), (1, 2, 4), 3]
+    for tag in OpTag:
+        for coeffs in shapes:
+            for luts in shapes:
+                kind = OpKind(tag, coeffs=coeffs, luts=luts)
+                assert kind.arity == old_arity(kind), (tag, coeffs)
+                assert kind.num_results == old_num_results(kind), (tag, luts)

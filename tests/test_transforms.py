@@ -327,6 +327,26 @@ class TestCanonicalizeProperties:
             assert genutil.eval_all_bool(both) == genutil.eval_all_bool(g)
 
 
+def test_large_random_graphs_keep_semantics():
+    # Graphs of up to 3,000 ops and 64 arguments, too many inputs for
+    # eval_all_bool: each pass is checked on a few random input vectors.
+    rng = random.Random(3571)
+    passes = (
+        lower_gates,
+        canonicalize,
+        lambda g: lower_gates(canonicalize(g)),
+        lambda g: canonicalize(lower_gates(g)),
+    )
+    for _ in range(20):
+        g = genutil.random_bool_graph(rng, max_ops=3000, max_args=64)
+        rewritten = [rewrite(g) for rewrite in passes]
+        for _ in range(3):
+            inputs = {vid: rng.randrange(2) for vid in g.argument_ids}
+            want = [evaluate(g, inputs)[r] for r in g.returns]
+            for h in rewritten:
+                assert [evaluate(h, inputs)[r] for r in h.returns] == want
+
+
 class TestSectionize:
     def test_capacity_fits_everything(self):
         g = build_half_adder()
