@@ -100,6 +100,13 @@ def _require_int(value: object, what: str, minimum: int = 0) -> int:
     return value
 
 
+def _as_float(value: int | float, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{what} is too large for a float") from None
+
+
 def _config_from_dict(doc: object) -> tuple[FabricConfig, CostTable]:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -116,6 +123,7 @@ def _config_from_dict(doc: object) -> tuple[FabricConfig, CostTable]:
     fields = {}
     if "fcs_per_chip" in fabric_doc:
         fields["fcs_per_chip"] = _require_int(fabric_doc["fcs_per_chip"], "fcs_per_chip", 1)
+        _as_float(fields["fcs_per_chip"], "fcs_per_chip")  # usable_fcs_per_chip scales it
     if "occupancy" in fabric_doc:
         occ = fabric_doc["occupancy"]
         if isinstance(occ, bool) or not isinstance(occ, (int, float)):
@@ -129,7 +137,7 @@ def _config_from_dict(doc: object) -> tuple[FabricConfig, CostTable]:
         ut = fabric_doc["unit_time_per_gate"]
         if isinstance(ut, bool) or not isinstance(ut, (int, float)) or not 0 < ut < math.inf:
             raise ConfigError(f"unit_time_per_gate must be a positive number, got {ut!r}")
-        fields["unit_time_per_gate"] = float(ut)
+        fields["unit_time_per_gate"] = _as_float(ut, "unit_time_per_gate")
     config = FabricConfig(**fields)
     if config.usable_fcs_per_chip < 1:
         raise ConfigError(
@@ -174,7 +182,7 @@ def load_config(source: str | Path) -> tuple[FabricConfig, CostTable]:
             raise ConfigError(f"cannot read config '{path}': {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
         raise ConfigError(f"malformed JSON config: {exc}") from exc
     return _config_from_dict(doc)
 
@@ -206,8 +214,8 @@ def estimate(graph: CircuitGraph, config: FabricConfig, costs: CostTable) -> Res
     total_hbm = sum(counts.get(tag, 0) * costs[tag].hbm_bytes for tag in OpTag)
     total_ddr = sum(counts.get(tag, 0) * costs[tag].ddr_bytes for tag in OpTag)
     total_tiles = sum(counts.get(tag, 0) * costs[tag].tiles for tag in OpTag)
-    chips = max(1, math.ceil(total_fcs / config.usable_fcs_per_chip))
-    boards = math.ceil(chips / config.chips_per_board)
+    chips = max(1, -(-total_fcs // config.usable_fcs_per_chip))
+    boards = -(-chips // config.chips_per_board)
     return ResourceReport(
         function_name=graph.name,
         op_count=len(graph.operators),

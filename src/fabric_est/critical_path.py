@@ -132,7 +132,7 @@ def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
     """
     height = _heights(graph)
     op_succs = graph.op_succs
-    first = graph.argument_consumers
+    first = [graph.consumers.get(a, ()) for a in graph.argument_ids]
     bound = [max([height[c] for c in ops], default=0) for ops in first]
     searched: set[int] = set()
     depth = 0

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum, unique
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 ValueId = int
 
@@ -228,46 +228,31 @@ class CircuitGraph:
 
     @cached_property
     def consumers(self) -> dict[ValueId, tuple[int, ...]]:
-        """Consuming operator ids per value, sorted and deduplicated."""
-        cons: dict[ValueId, set[int]] = {}
-        for op in self.operators:
+        """Consuming operator ids per value, ascending and deduplicated:
+        the one edge index, filled in a single pass in id order."""
+        cons: dict[ValueId, list[int]] = {}
+        for op in sorted(self.operators, key=lambda op: op.id):
+            oid = op.id
             for v in op.operands:
-                cons.setdefault(v, set()).add(op.id)
-        return {v: tuple(sorted(s)) for v, s in cons.items()}
-
-    @cached_property
-    def argument_consumers(self) -> tuple[tuple[int, ...], ...]:
-        """Consuming operator ids per argument, aligned with argument_ids,
-        sorted and deduplicated."""
-        cons: dict[ValueId, set[int]] = {vid: set() for vid in self.argument_ids}
-        for op in self.operators:
-            for v in op.operands:
-                if v in cons:
-                    cons[v].add(op.id)
-        return tuple(tuple(sorted(cons[vid])) for vid in self.argument_ids)
-
-    @cached_property
-    def op_preds(self) -> dict[int, tuple[int, ...]]:
-        """Producer operator ids per operator, sorted and deduplicated.
-
-        An operator that consumes its own result lists itself, so the
-        self-use is a cycle like any other.
-        """
-        producers = self.producers
-        return {
-            op.id: tuple(sorted({producers[v].id for v in op.operands if v in producers}))
-            for op in self.operators
-        }
+                ids = cons.get(v)
+                if ids is None:
+                    cons[v] = [oid]
+                elif ids[-1] != oid:
+                    ids.append(oid)
+        return {v: tuple(ids) for v, ids in cons.items()}
 
     @cached_property
     def op_succs(self) -> dict[int, tuple[int, ...]]:
-        """Consumer operator ids per operator, ascending (the inverse of
-        op_preds)."""
-        succs: dict[int, list[int]] = {oid: [] for oid in self.op_preds}
-        for oid in sorted(self.op_preds):
-            for p in self.op_preds[oid]:
-                succs[p].append(oid)
-        return {oid: tuple(s) for oid, s in succs.items()}
+        """Consumer operator ids per operator, ascending: the consumers of
+        the results it produces.  An operator that consumes its own result
+        lists itself, so the self-use is a cycle like any other."""
+        consumers = self.consumers
+        producers = self.producers
+        succs: dict[int, tuple[int, ...]] = {}
+        for op in self.operators:
+            rows = [consumers.get(r, ()) for r in op.results if producers[r] is op]
+            succs[op.id] = rows[0] if len(rows) == 1 else tuple(sorted(set().union(*rows)))
+        return succs
 
     @cached_property
     def topo_order(self) -> tuple[int, ...] | None:
@@ -281,7 +266,10 @@ class CircuitGraph:
         so the order does not depend on how the operators are stored.  The
         ops on and below a cycle are never released."""
         succs = self.op_succs
-        indeg = {oid: len(preds) for oid, preds in self.op_preds.items()}
+        indeg = dict.fromkeys(succs, 0)
+        for below in succs.values():
+            for succ in below:
+                indeg[succ] += 1
         ready = [oid for oid, d in indeg.items() if d == 0]
         heapq.heapify(ready)
         order: list[int] = []

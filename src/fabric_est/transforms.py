@@ -84,7 +84,7 @@ def _eliminate_dead_ops(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:
         oid = stack.pop()
         if oid not in live_ops:
             live_ops.add(oid)
-            stack.extend(graph.op_preds[oid])
+            stack.extend(producers[v].id for v in graph.operator(oid).operands if v in producers)
     kept = [op for op in graph.operators if op.id in live_ops]
     if len(kept) == len(graph.operators):
         return graph, False

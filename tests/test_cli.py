@@ -364,6 +364,38 @@ class TestConfig:
         assert out.out == ""
         assert "unit_time_per_gate must be a positive number" in out.err
 
+    @pytest.mark.parametrize("field", ["unit_time_per_gate", "fcs_per_chip"])
+    def test_too_large_for_a_float(self, field, tmp_path, capsys):
+        path = tmp_path / "hw.json"
+        path.write_text(json.dumps(make_config_doc(**{field: 10**400})))
+        argv = ["--fixture", "half-adder", "--critical-path", "--config", str(path)]
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {field} is too large for a float\n"
+
+    @pytest.mark.parametrize(
+        "fabric, fcs, tail",
+        [
+            ({"chips_per_board": 10**400}, {}, "Total Mx2 Chips  1\nTotal Mx8 Boards  1\n"),
+            (
+                {"fcs_per_chip": 1, "occupancy": 1},
+                {"and": 2**53 + 1, "xor": 0},
+                "Total Mx2 Chips  9007199254740993\nTotal Mx8 Boards  2251799813685249\n",
+            ),
+        ],
+        ids=["boards", "chips"],
+    )
+    def test_exact_chip_and_board_counts(self, fabric, fcs, tail, tmp_path, capsys):
+        doc = make_config_doc(**fabric)
+        for tag, n in fcs.items():
+            doc["costs"][tag]["fcs"] = n
+        path = tmp_path / "hw.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--fixture", "half-adder", "--cggi-estimate", "--config", str(path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(tail)
+
     def test_profile_flag(self, capsys):
         assert main(
             ["--fixture", "half-adder", "--profile", "paper-default",

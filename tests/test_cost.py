@@ -143,6 +143,22 @@ class TestEstimate:
             assert r.boards == math.ceil(r.chips / config.chips_per_board)
             assert r.total_fcs == 16 * n
 
+    def test_boards_count_exactly_past_float_range(self):
+        # 1 / 10**400 is 0.0 as a float; the one chip still needs a board
+        config = FabricConfig(chips_per_board=10**400)
+        r = estimate(generate_fixture("half-adder"), config, full_costs())
+        assert (r.chips, r.boards) == (1, 1)
+
+    def test_chips_count_exactly_past_float_precision(self):
+        # 2**53 + 1 FCs on one-FC chips: a float quotient drops the last chip
+        costs = full_costs(
+            overrides={OpTag.AND: ResourceCost(fcs=2**53 + 1), OpTag.XOR: ResourceCost(fcs=0)}
+        )
+        config = FabricConfig(fcs_per_chip=1, occupancy=1.0, chips_per_board=4)
+        r = estimate(generate_fixture("half-adder"), config, costs)
+        assert r.total_fcs == r.chips == 2**53 + 1
+        assert r.boards == 2**51 + 1
+
     def test_estimate_counts_by_stored_ops(self):
         rng = random.Random(5)
         config, costs = paper_default()
@@ -241,6 +257,20 @@ class TestLoadConfig:
         assert str(info.value) == (
             f"unit_time_per_gate must be a positive number, got {float(token)!r}"
         )
+
+    @pytest.mark.parametrize("field", ["unit_time_per_gate", "fcs_per_chip"])
+    def test_too_large_for_a_float_rejected(self, field):
+        # json.loads reads a 401-digit literal as an int no float can hold
+        text = json.dumps(make_config_doc(**{field: 10**400}))
+        with pytest.raises(ConfigError) as info:
+            load_config(text)
+        assert str(info.value) == f"{field} is too large for a float"
+
+    def test_integer_past_the_digit_limit_rejected(self):
+        # json.loads raises a plain ValueError for a 5000-digit integer
+        text = '{"fabric": {"fcs_per_chip": ' + "1" * 5000 + "}}"
+        with pytest.raises(ConfigError, match="malformed JSON config: Exceeds the limit"):
+            load_config(text)
 
     def test_non_integer_fields_rejected(self):
         with pytest.raises(ConfigError):

@@ -116,6 +116,96 @@ class TestBuilder:
         assert g.value_types[a] is ValueType.LWE_CIPHERTEXT
 
 
+def recomputed_index(g):
+    """consumers and op_succs recomputed from the operator list alone:
+    a sorted set of consuming op ids per value, and the inverse of the
+    producer edges (the first definition of a value is its producer)."""
+    consumers, producer = {}, {}
+    for op in g.operators:
+        for v in op.operands:
+            consumers.setdefault(v, set()).add(op.id)
+        for r in op.results:
+            producer.setdefault(r, op.id)
+    succs = {op.id: set() for op in g.operators}
+    for op in g.operators:
+        for v in op.operands:
+            if v in producer:
+                succs[producer[v]].add(op.id)
+    return (
+        {v: tuple(sorted(ids)) for v, ids in consumers.items()},
+        {oid: tuple(sorted(ids)) for oid, ids in succs.items()},
+    )
+
+
+def random_multi_result_graph(rng, max_ops=30):
+    """Mostly multi_lut_lincomb ops, drawing operands from the newest
+    values, so consumers often take two results of one op."""
+    b = GraphBuilder("multi")
+    vals = [b.argument(ValueType.LWE_CIPHERTEXT) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(1, max_ops)):
+        arity = rng.randint(1, 3)
+        operands = [rng.choice(vals[-4:]) for _ in range(arity)]
+        if rng.random() < 0.8:
+            luts = tuple(rng.randrange(1 << (1 << arity)) for _ in range(rng.randint(1, 3)))
+            kind = OpKind(OpTag.MULTI_LUT_LINCOMB, coeffs=(1, 2, 4)[:arity], luts=luts)
+            vals.extend(b.multi_op(kind, *operands))
+        else:
+            vals.append(b.op(OpKind(OpTag.NOT), operands[0]))
+    b.ret(vals[-1])
+    return b.build()
+
+
+class TestEdgeIndex:
+    def assert_matches_recomputation(self, g):
+        consumers, succs = recomputed_index(g)
+        assert g.consumers == consumers
+        assert g.op_succs == succs
+
+    def test_random_graphs(self):
+        rng = random.Random(7919)
+        for i in range(300):
+            make = genutil.random_bool_graph if i % 2 else genutil.random_ckks_graph
+            g = make(rng, max_ops=40)
+            self.assert_matches_recomputation(g)
+            self.assert_matches_recomputation(genutil.permute_operators(g, rng))
+
+    def test_multi_result_ops(self):
+        rng = random.Random(7927)
+        for _ in range(200):
+            g = random_multi_result_graph(rng)
+            self.assert_matches_recomputation(g)
+            self.assert_matches_recomputation(genutil.permute_operators(g, rng))
+
+    def test_both_results_of_one_op_give_one_edge(self):
+        b = GraphBuilder("f")
+        x = b.argument(ValueType.LWE_CIPHERTEXT)
+        lo, hi = b.multi_op(OpKind(OpTag.MULTI_LUT_LINCOMB, coeffs=(1,), luts=(1, 2)), x)
+        b.ret(b.op(OpKind(OpTag.AND), lo, hi), b.op(OpKind(OpTag.NOT), hi))
+        g = b.build()
+        assert g.consumers == {x: (0,), lo: (1,), hi: (1, 2)}
+        assert g.op_succs == {0: (1, 2), 1: (), 2: ()}
+        assert g.topo_order == (0, 1, 2)
+
+    def test_first_definition_is_the_producer(self):
+        ops = (
+            Operator(0, OpKind(OpTag.NOT), (0,), (1,)),
+            Operator(1, OpKind(OpTag.NOT), (0,), (1,)),
+            Operator(2, OpKind(OpTag.NOT), (1,), (2,)),
+        )
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), ops, (2,), {})
+        assert g.op_succs == {0: (2,), 1: (), 2: ()} == recomputed_index(g)[1]
+        assert g.topo_order == (0, 1, 2)
+
+    def test_repeated_ids_have_no_order(self):
+        # an acyclic chain of two nots whose ids collide
+        ops = (
+            Operator(0, OpKind(OpTag.NOT), (0,), (1,)),
+            Operator(0, OpKind(OpTag.NOT), (1,), (2,)),
+        )
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), ops, (2,), {})
+        assert g.topo_order is None
+
+
 class TestValidate:
     def test_fixtures_are_valid(self):
         from fabric_est import fixture_names, generate_fixture
@@ -232,7 +322,7 @@ class TestValidate:
     def test_self_use_is_a_cycle(self):
         op = Operator(0, OpKind(OpTag.AND), (1, 0), (1,))
         g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op,), (1,), {})
-        assert g.op_preds == {0: (0,)}
+        assert g.op_succs == {0: (0,)}
         assert g.topo_order is None
         assert [v.code for v in validate(g)] == ["cycle"]
 

@@ -35,7 +35,9 @@ METHODS = (
 def assert_matches_oracle(g):
     assert topological_sort(g) == oracles.operator_topo_order(g)
     arg_succs, op_succs = oracles._dependency_succs(g)
-    assert [list(c) for c in g.argument_consumers] == [arg_succs[v] for v in g.argument_ids]
+    assert [list(g.consumers.get(v, ())) for v in g.argument_ids] == [
+        arg_succs[v] for v in g.argument_ids
+    ]
     assert {oid: list(s) for oid, s in g.op_succs.items()} == op_succs
     for method, oracle in METHODS:
         assert method(g, 2.0) == oracle(g, 2.0), method.__name__
