@@ -152,8 +152,8 @@ def main(argv: list[str] | None = None) -> int:
         input_label = f"fixture:{args.fixture}"
     else:
         try:
-            text = Path(args.input).read_text()
-        except OSError as exc:
+            text = Path(args.input).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             return _fail(f"cannot read '{args.input}': {exc}")
         try:
             graph = parse(text)
@@ -184,38 +184,39 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc))
 
     resources = None
-    if args.cggi_estimate or args.ckks_estimate:
-        if args.cggi_estimate:
-            problem = _check_dialect(graph, "--cggi-estimate", "bool", "Boolean")
-        else:
-            problem = _check_dialect(graph, "--ckks-estimate", "ckks", "CKKS")
-        if problem is not None:
-            return _fail(problem)
-        resources = estimate(graph, config, costs)
-
     # --method requires --critical-path, so a chosen method is also the
     # one throughput reads.
     method = None if args.method in (None, "all") else Method(args.method)
     cp_results: tuple = ()
-    if args.critical_path:
-        selected = list(Method) if method is None else [method]
-        cp_results = tuple(
-            compute(graph, m, config.unit_time_per_gate) for m in selected
-        )
-
     tp = None
-    if args.throughput:
-        tp_method = method or Method.LONGEST_PATH
-        cached = next((c for c in cp_results if c.method is tp_method), None)
-        depth = (
-            cached.depth
-            if cached is not None
-            else compute(graph, tp_method, config.unit_time_per_gate).depth
-        )
-        try:
-            tp = (args.batch, throughput(depth, args.batch, config), tp_method)
-        except ValueError as exc:
-            return _fail(str(exc))
+    try:
+        if args.cggi_estimate or args.ckks_estimate:
+            if args.cggi_estimate:
+                problem = _check_dialect(graph, "--cggi-estimate", "bool", "Boolean")
+            else:
+                problem = _check_dialect(graph, "--ckks-estimate", "ckks", "CKKS")
+            if problem is not None:
+                return _fail(problem)
+            resources = estimate(graph, config, costs)
+        if args.critical_path:
+            selected = list(Method) if method is None else [method]
+            cp_results = tuple(
+                compute(graph, m, config.unit_time_per_gate) for m in selected
+            )
+        if args.throughput:
+            tp_method = method or Method.LONGEST_PATH
+            cached = next((c for c in cp_results if c.method is tp_method), None)
+            depth = (
+                cached.depth
+                if cached is not None
+                else compute(graph, tp_method, config.unit_time_per_gate).depth
+            )
+            try:
+                tp = (args.batch, throughput(depth, args.batch, config), tp_method)
+            except ValueError as exc:
+                return _fail(str(exc))
+    except ConfigError as exc:  # a number too large to report
+        return _fail(str(exc))
 
     if args.print_ir:
         sys.stdout.write(print_circuit(graph))

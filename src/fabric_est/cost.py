@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,6 +101,22 @@ def _require_int(value: object, what: str, minimum: int = 0) -> int:
     return value
 
 
+def reportable(value: int | float, field: str) -> int | float:
+    """The rule for every number a report derives from the config: it
+    must be finite, and an integer must be short enough for str() to
+    write.  Otherwise a ConfigError names the field."""
+    if isinstance(value, float):
+        ok = math.isfinite(value)
+    else:
+        # 0, or an interpreter without the function: str() has no limit.
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        # 2**(3 * limit) < 10**limit, so the exact test is for huge values only.
+        ok = not limit or value.bit_length() < 3 * limit or abs(value) < 10**limit
+    if not ok:
+        raise ConfigError(f"{field} is too large to report")
+    return value
+
+
 def _as_float(value: int | float, what: str) -> float:
     try:
         return float(value)
@@ -178,7 +195,7 @@ def load_config(source: str | Path) -> tuple[FabricConfig, CostTable]:
             raise ConfigError(f"config file not found: {path}")
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config '{path}': {exc}") from exc
     try:
         doc = json.loads(text)
@@ -214,6 +231,11 @@ def estimate(graph: CircuitGraph, config: FabricConfig, costs: CostTable) -> Res
     total_hbm = sum(counts.get(tag, 0) * costs[tag].hbm_bytes for tag in OpTag)
     total_ddr = sum(counts.get(tag, 0) * costs[tag].ddr_bytes for tag in OpTag)
     total_tiles = sum(counts.get(tag, 0) * costs[tag].tiles for tag in OpTag)
+    # Costs are non-negative, so each total bounds its per-kind values and
+    # total_fcs bounds the chip and board counts.
+    for name, total in (("total_fcs", total_fcs), ("total_hbm_bytes", total_hbm),
+                        ("total_ddr_bytes", total_ddr), ("total_tiles", total_tiles)):
+        reportable(total, name)
     chips = max(1, -(-total_fcs // config.usable_fcs_per_chip))
     boards = -(-chips // config.chips_per_board)
     return ResourceReport(

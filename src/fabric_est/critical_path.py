@@ -29,7 +29,7 @@ from enum import Enum, unique
 from typing import NamedTuple
 
 from .ir import CircuitGraph, duplicate_id_message
-from .cost import FabricConfig
+from .cost import FabricConfig, reportable
 
 
 @unique
@@ -78,7 +78,8 @@ def _heights(graph: CircuitGraph) -> dict[int, int]:
 
 
 def _result(method: Method, ops: list[int], unit_time: float) -> CriticalPathResult:
-    return CriticalPathResult(method, tuple(ops), len(ops), len(ops) * unit_time)
+    latency = reportable(len(ops) * unit_time, "latency_unit_time")
+    return CriticalPathResult(method, tuple(ops), len(ops), latency)
 
 
 def approximate_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathResult:
@@ -189,7 +190,7 @@ def throughput(depth: int, batch: int, config: FabricConfig) -> ThroughputResult
 
     Latency is depth gate-times; a batch window drains floor(batch /
     depth) outputs per window.  A depth of zero has no pipeline to fill
-    and is an error.
+    and is an error, and a latency too large for a float a ConfigError.
     """
     if depth == 0:
         raise ValueError("no compute ops on critical path (depth is zero)")
@@ -197,4 +198,5 @@ def throughput(depth: int, batch: int, config: FabricConfig) -> ThroughputResult
         raise ValueError(f"depth must be positive, got {depth}")
     if batch < 1:
         raise ValueError(f"batch must be positive, got {batch}")
-    return ThroughputResult(depth * config.unit_time_per_gate, batch // depth)
+    latency = reportable(depth * config.unit_time_per_gate, "latency_unit_time")
+    return ThroughputResult(latency, batch // depth)

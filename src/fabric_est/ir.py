@@ -38,24 +38,26 @@ class OpTag(Enum):
     The value is the IR spelling (and the cost-config key).  Each tag
     also carries its dialect, its operand count (None for the lincomb
     ops, which take one operand per coefficient), the attributes it
-    requires (every listed one is mandatory) and its report label.
+    requires (every listed one is mandatory), its report label and, for
+    a fixed-function Boolean op, its truth table (see lut_form).
     """
 
     dialect: str
     arity: int | None
     required: tuple[str, ...]
     label: str
+    table: int | None
     opname: str
     result_type: ValueType
 
-    AND = "and", "bool", 2, (), "AndOp"
-    NAND = "nand", "bool", 2, (), "NandOp"
-    NOR = "nor", "bool", 2, (), "NorOp"
-    OR = "or", "bool", 2, (), "OrOp"
-    XOR = "xor", "bool", 2, (), "XorOp"
-    XNOR = "xnor", "bool", 2, (), "XNorOp"
-    NOT = "not", "bool", 1, (), "NotOp"
-    PACKED = "packed", "bool", 1, (), "PackedOp"
+    AND = "and", "bool", 2, (), "AndOp", 0b1000
+    NAND = "nand", "bool", 2, (), "NandOp", 0b0111
+    NOR = "nor", "bool", 2, (), "NorOp", 0b0001
+    OR = "or", "bool", 2, (), "OrOp", 0b1110
+    XOR = "xor", "bool", 2, (), "XorOp", 0b0110
+    XNOR = "xnor", "bool", 2, (), "XNorOp", 0b1001
+    NOT = "not", "bool", 1, (), "NotOp", 0b01
+    PACKED = "packed", "bool", 1, (), "PackedOp", 0b10
     LUT2 = "lut2", "bool", 2, ("lut",), "Lut2Op"
     LUT3 = "lut3", "bool", 3, ("lut",), "Lut3Op"
     LUT_LINCOMB = "lut_lincomb", "bool", None, ("coeffs", "lut"), "LutLinCombOp"
@@ -72,13 +74,14 @@ class OpTag(Enum):
     RELINEARIZE = "relinearize", "ckks", 1, (), "RelinearizeOp"
     RESCALE = "rescale", "ckks", 1, (), "RescaleOp"
 
-    def __new__(cls, value, dialect, arity, required, label):
+    def __new__(cls, value, dialect, arity, required, label, table=None):
         tag = object.__new__(cls)
         tag._value_ = value
         tag.dialect = dialect
         tag.arity = arity
         tag.required = required
         tag.label = label
+        tag.table = table
         tag.opname = f"scifr_{dialect}.{value}"
         tag.result_type = ValueType.LWE_CIPHERTEXT if dialect == "bool" else ValueType.CKKS_CIPHERTEXT
         return tag
@@ -87,9 +90,7 @@ class OpTag(Enum):
 BOOL_TAGS = frozenset(tag for tag in OpTag if tag.dialect == "bool")
 CKKS_TAGS = frozenset(OpTag) - BOOL_TAGS
 
-TWO_INPUT_GATES = frozenset(
-    {OpTag.AND, OpTag.NAND, OpTag.NOR, OpTag.OR, OpTag.XOR, OpTag.XNOR}
-)
+TWO_INPUT_GATES = frozenset(tag for tag in OpTag if tag.table is not None and tag.arity == 2)
 # Binary CKKS ops whose second operand is a plaintext vector.
 PLAIN_OPERAND_TAGS = frozenset({OpTag.ADD_PLAIN, OpTag.SUB_PLAIN, OpTag.MUL_PLAIN})
 
@@ -598,52 +599,35 @@ def _as_vector(x: object, what: str) -> tuple[float, ...]:
     raise EvaluationError(f"{what} must be a non-empty number vector, got {x!r}")
 
 
+def lut_form(kind: OpKind) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The one statement of Boolean semantics: `(weights, masks)`, where
+    result j of the op is bit `sum(w * x)` of masks[j] for operand bits x.
+    The weights are the lincomb coeffs, else 1, 2, 4 (operand 0 is the
+    low index bit); the masks are the tag's truth table, else the op's
+    `lut` or `luts`."""
+    tag = kind.tag
+    weights = kind.coeffs if tag.arity is None else (1, 2, 4)[: tag.arity]
+    if tag.table is not None:
+        return weights, (tag.table,)
+    return weights, kind.luts if tag is OpTag.MULTI_LUT_LINCOMB else (kind.lut,)
+
+
 def gate_output(tag: OpTag, a: int, b: int) -> int:
     """Truth-table output of a two-input named gate."""
-    if tag is OpTag.AND:
-        return a & b
-    if tag is OpTag.NAND:
-        return 1 - (a & b)
-    if tag is OpTag.NOR:
-        return 1 - (a | b)
-    if tag is OpTag.OR:
-        return a | b
-    if tag is OpTag.XOR:
-        return a ^ b
-    if tag is OpTag.XNOR:
-        return 1 - (a ^ b)
-    raise EvaluationError(f"{tag.opname} is not a two-input gate")
-
-
-def _lincomb_index(kind: OpKind, bits: Sequence[int]) -> int:
-    idx = sum(c * b for c, b in zip(kind.coeffs, bits))
-    limit = 1 << len(kind.coeffs)
-    if not 0 <= idx < limit:
-        raise EvaluationError(
-            f"{kind.tag.opname} index {idx} out of range [0, {limit})"
-        )
-    return idx
+    return (tag.table >> (a + 2 * b)) & 1
 
 
 def _apply_op(op: Operator, args: list) -> tuple:
     """Evaluate one operator; returns one plain value per result."""
     kind = op.kind
     tag = kind.tag
-    if tag in TWO_INPUT_GATES:
-        return (gate_output(tag, args[0], args[1]),)
-    if tag is OpTag.NOT:
-        return (1 - args[0],)
-    if tag is OpTag.PACKED:
-        return (args[0],)
-    if tag is OpTag.LUT2:
-        return ((kind.lut >> (args[0] + 2 * args[1])) & 1,)
-    if tag is OpTag.LUT3:
-        return ((kind.lut >> (args[0] + 2 * args[1] + 4 * args[2])) & 1,)
-    if tag is OpTag.LUT_LINCOMB:
-        return ((kind.lut >> _lincomb_index(kind, args)) & 1,)
-    if tag is OpTag.MULTI_LUT_LINCOMB:
-        idx = _lincomb_index(kind, args)
-        return tuple((mask >> idx) & 1 for mask in kind.luts)
+    if tag in BOOL_TAGS:
+        weights, masks = lut_form(kind)
+        idx = sum(w * x for w, x in zip(weights, args))
+        limit = 1 << len(weights)
+        if not 0 <= idx < limit:
+            raise EvaluationError(f"{tag.opname} index {idx} out of range [0, {limit})")
+        return tuple((mask >> idx) & 1 for mask in masks)
     if tag in (OpTag.ADD, OpTag.ADD_PLAIN):
         return (tuple(x + y for x, y in zip(args[0], args[1])),)
     if tag in (OpTag.SUB, OpTag.SUB_PLAIN):

@@ -25,6 +25,7 @@ reparses to an isomorphic graph and is a fixed point of parse+print.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
@@ -298,17 +299,27 @@ class _Parser:
         else:
             attrs[name_tok.text] = (value, vspan)
 
+    def integer(self, what: str) -> tuple[int, SourceSpan]:
+        """An integer literal; one longer than int() reads is an error at
+        its span."""
+        tok = self.expect("int", None, what)
+        try:
+            return int(tok.text), tok.span
+        except ValueError:  # past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            self.error(f"integer literal has more than {limit} digits", tok.span)
+            raise _Abort() from None
+
     def parse_attrval(self) -> tuple[object, SourceSpan]:
         if self.at("int"):
-            tok = self.advance()
-            return int(tok.text), tok.span
+            return self.integer("an integer")
         if self.at("punct", "["):
             open_tok = self.advance()
-            items = self.comma_list(self.expect, "int", None, "an integer in the list")
+            items = self.comma_list(self.integer, "an integer in the list")
             close = self.expect("punct", "]", "']'")
             length = close.span.column - open_tok.span.column + close.span.length
             span = SourceSpan(open_tok.span.line, open_tok.span.column, max(length, 1))
-            return tuple(int(tok.text) for tok in items), span
+            return tuple(value for value, _ in items), span
         self.error("expected an integer or integer list")
         raise _Abort()
 

@@ -1,9 +1,9 @@
 """Graph rewrites: gate lowering, canonicalization, and sectioning.
 
-``lower_gates`` rewrites named Boolean gates to the LUT linear-
-combination form the fabric executes: operands are weighted 1 and 2 so
-the combination reproduces the two-bit truth-table index, and the gate's
-truth table becomes the LUT mask.  ``canonicalize`` runs dead-op
+``lower_gates`` rewrites named Boolean gates and Not to the LUT linear-
+combination form the fabric executes: the weights of ``ir.lut_form``
+become the coefficients and the truth table the LUT mask, so the
+combination reproduces the truth-table index.  ``canonicalize`` runs dead-op
 elimination, double-negation elimination, and single-use gate fusion to
 a fixed point.  ``sectionize`` packs operators into capacity-bounded
 sections greedily in topological order.
@@ -22,6 +22,7 @@ from .ir import (
     TWO_INPUT_GATES,
     ValueId,
     gate_output,
+    lut_form,
 )
 from .cost import CostTable
 from .critical_path import topological_sort
@@ -31,35 +32,27 @@ class TransformError(Exception):
     """Raised when a transform precondition fails."""
 
 
-# Named-gate truth tables indexed by (bit_b * 2 + bit_a), i.e. operand 0
-# is the least-significant index bit; same table the fused LUTs use.
-LOWERED_GATE_MASKS = {
-    tag: sum(gate_output(tag, i & 1, i >> 1) << i for i in range(4))
+# The lut_lincomb kind each named gate and Not lowers to, one per tag.
+_LOWERED = {
+    tag: OpKind(OpTag.LUT_LINCOMB, coeffs=weights, lut=mask)
     for tag in OpTag
-    if tag in TWO_INPUT_GATES
+    if tag in TWO_INPUT_GATES or tag is OpTag.NOT
+    for weights, (mask,) in [lut_form(OpKind(tag))]
 }
-NOT_MASK = 0b01
 
 
 def lower_gates(graph: CircuitGraph) -> CircuitGraph:
     """Rewrite 2-input named gates and Not to lut_lincomb form.
 
-    Gates become coeffs [1, 2] with the gate truth table as mask; Not
-    becomes coeffs [1] with mask 0b01.  Lut2/Lut3/Packed and everything
-    already in lincomb form pass through, so the transform is
-    idempotent.  Ids, operands, results, and sections are preserved.
+    Each becomes its lut_form as a lincomb: gates get coeffs [1, 2] and
+    Not coeffs [1], with the tag's truth table as mask.  Lut2/Lut3/Packed
+    and everything already in lincomb form pass through, so the transform
+    is idempotent.  Ids, operands, results, and sections are preserved.
     """
     new_ops = []
     for op in graph.operators:
-        tag = op.kind.tag
-        if tag in TWO_INPUT_GATES:
-            kind = OpKind(OpTag.LUT_LINCOMB, coeffs=(1, 2), lut=LOWERED_GATE_MASKS[tag])
-            new_ops.append(replace(op, kind=kind))
-        elif tag is OpTag.NOT:
-            kind = OpKind(OpTag.LUT_LINCOMB, coeffs=(1,), lut=NOT_MASK)
-            new_ops.append(replace(op, kind=kind))
-        else:
-            new_ops.append(op)
+        kind = _LOWERED.get(op.kind.tag)
+        new_ops.append(op if kind is None else replace(op, kind=kind))
     return replace(graph, operators=tuple(new_ops))
 
 
@@ -142,18 +135,12 @@ def _fused_kind(
         outer_args[1 - r_slot] = env[outer.operands[1 - r_slot]]
         return gate_output(outer.kind.tag, outer_args[0], outer_args[1])
 
-    if len(inputs) == 1:
-        mask = 0
-        for i in range(4):
-            mask |= composite({inputs[0]: i & 1}) << i
-        return OpKind(OpTag.LUT2, lut=mask)
+    width = max(len(inputs), 2)
     mask = 0
-    for i in range(1 << len(inputs)):
+    for i in range(1 << width):
         env = {v: (i >> slot) & 1 for slot, v in enumerate(inputs)}
         mask |= composite(env) << i
-    if len(inputs) == 2:
-        return OpKind(OpTag.LUT2, lut=mask)
-    return OpKind(OpTag.LUT3, lut=mask)
+    return OpKind(OpTag.LUT2 if width == 2 else OpTag.LUT3, lut=mask)
 
 
 def _fuse_single_use_gates(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:

@@ -165,9 +165,16 @@ class TestFileInput:
         assert manifest["input"] == "--canonicalize"
         assert manifest["passes"] == []
 
-    def test_missing_file(self, capsys):
-        assert main(["/no/such/file.scifr", "--cggi-estimate"]) == 1
-        assert "cannot read" in capsys.readouterr().err
+    def test_missing_file(self, tmp_path, capsys):
+        # A valid circuit with a byte after its closing '}' that is not UTF-8.
+        not_utf8 = tmp_path / "ha.scifr"
+        not_utf8.write_bytes(print_circuit(build_half_adder()).encode() + b"\xff")
+        for path in ("/no/such/file.scifr", str(not_utf8)):
+            assert main([path, "--cggi-estimate"]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith(f"error: cannot read '{path}': ")
+            assert out.err.count("\n") == 1
 
     def test_parse_diagnostics(self, tmp_path, capsys):
         path = tmp_path / "bad.scifr"
@@ -336,9 +343,16 @@ class TestConfig:
 
     def test_malformed_config(self, tmp_path, capsys):
         path = tmp_path / "hw.json"
-        path.write_text("{not json")
-        assert main(["--fixture", "half-adder", "--config", str(path)]) == 1
-        assert "malformed JSON config" in capsys.readouterr().err
+        for data, message in (
+            (b"{not json", "malformed JSON config"),
+            (b'{"fabric": {}}\xff', f"cannot read config '{path}'"),
+        ):
+            path.write_bytes(data)
+            assert main(["--fixture", "half-adder", "--config", str(path)]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith(f"error: {message}")
+            assert out.err.count("\n") == 1
 
     @pytest.mark.parametrize("config_file", [False, True], ids=["profile", "config-file"])
     def test_json_report_is_strict(self, config_file, tmp_path, capsys):
@@ -364,15 +378,45 @@ class TestConfig:
         assert out.out == ""
         assert "unit_time_per_gate must be a positive number" in out.err
 
-    @pytest.mark.parametrize("field", ["unit_time_per_gate", "fcs_per_chip"])
-    def test_too_large_for_a_float(self, field, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "fabric, fcs, argv, message",
+        [
+            (
+                {"unit_time_per_gate": 10**400}, None,
+                ["--fixture", "half-adder", "--critical-path"],
+                "unit_time_per_gate is too large for a float",
+            ),
+            (
+                {"fcs_per_chip": 10**400}, None,
+                ["--fixture", "half-adder", "--critical-path"],
+                "fcs_per_chip is too large for a float",
+            ),
+            # A finite unit time whose product with the depth is not.
+            (
+                {"unit_time_per_gate": 1e308}, None,
+                ["--fixture", "full-adder", "--critical-path", "--throughput",
+                 "--batch", "8", "--emit", "json"],
+                "latency_unit_time is too large to report",
+            ),
+            # Two 4,300-digit costs sum to 4,301 digits, more than str() writes.
+            (
+                {}, 9 * 10**4299,
+                ["--fixture", "half-adder", "--cggi-estimate"],
+                "total_fcs is too large to report",
+            ),
+        ],
+        ids=["unit_time_per_gate", "fcs_per_chip", "latency", "total_fcs"],
+    )
+    def test_too_large_for_a_float(self, fabric, fcs, argv, message, tmp_path, capsys):
+        doc = make_config_doc(**fabric)
+        if fcs is not None:
+            doc["costs"]["and"]["fcs"] = doc["costs"]["xor"]["fcs"] = fcs
         path = tmp_path / "hw.json"
-        path.write_text(json.dumps(make_config_doc(**{field: 10**400})))
-        argv = ["--fixture", "half-adder", "--critical-path", "--config", str(path)]
-        assert main(argv) == 1
+        path.write_text(json.dumps(doc))
+        assert main([*argv, "--config", str(path)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == f"error: {field} is too large for a float\n"
+        assert out.err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "fabric, fcs, tail",

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from fabric_est import (
     load_profile,
     paper_default,
 )
+from fabric_est.critical_path import Method, compute, throughput
 
 
 def full_costs(fcs=256, overrides=None):
@@ -158,6 +160,34 @@ class TestEstimate:
         r = estimate(generate_fixture("half-adder"), config, costs)
         assert r.total_fcs == r.chips == 2**53 + 1
         assert r.boards == 2**51 + 1
+
+    @pytest.mark.parametrize("field", ["fcs", "hbm_bytes", "ddr_bytes", "tiles"])
+    def test_total_past_the_digit_limit(self, field):
+        # The half-adder's And and Xor; str() writes 10**limit - 1 but not 10**limit.
+        limit = sys.get_int_max_str_digits()
+        g = generate_fixture("half-adder")
+        config = FabricConfig()
+
+        def costs(and_cost):
+            return full_costs(overrides={
+                OpTag.AND: ResourceCost(**{field: and_cost}),
+                OpTag.XOR: ResourceCost(**{field: 1}),
+            })
+
+        r = estimate(g, config, costs(10**limit - 2))
+        assert getattr(r, f"total_{field}") == 10**limit - 1
+        with pytest.raises(ConfigError, match=f"^total_{field} is too large to report$"):
+            estimate(g, config, costs(10**limit - 1))
+
+    def test_latency_past_the_float_range(self):
+        config = FabricConfig(unit_time_per_gate=1e308)
+        g = generate_fixture("full-adder")
+        for method in Method:
+            with pytest.raises(ConfigError, match="^latency_unit_time is too large to report$"):
+                compute(g, method, config.unit_time_per_gate)
+        with pytest.raises(ConfigError, match="^latency_unit_time is too large to report$"):
+            throughput(2, 8, config)
+        assert throughput(1, 8, config).latency_unit_time == 1e308
 
     def test_estimate_counts_by_stored_ops(self):
         rng = random.Random(5)

@@ -377,6 +377,15 @@ class TestDiagnostics:
             "scifr_bool.lut2",
         )
 
+    def test_integer_past_the_digit_limit_span(self):
+        # int() refuses a literal this long; the parser reports it.
+        nines = "9" * 5000
+        self.check_span(
+            f"  %0 = scifr_ckks.rotate %x {{offset = {nines}}} : !ct",
+            "integer literal has more than 4300 digits",
+            nines,
+        )
+
     def test_unknown_character(self):
         self.check(
             "func @f(%a: !lwe) -> !lwe {\n"

@@ -22,7 +22,6 @@ from fabric_est import (
 )
 from fabric_est.ir import TWO_INPUT_GATES, gate_output
 from fabric_est.fixtures import build_half_adder, build_table3_mult8
-from fabric_est.transforms import LOWERED_GATE_MASKS, NOT_MASK
 
 LWE = ValueType.LWE_CIPHERTEXT
 GATES = sorted(TWO_INPUT_GATES, key=lambda t: t.value)
@@ -52,7 +51,7 @@ def gate_pair(inner_tag, outer_tag, outer_slot=0, share_input=False):
 
 class TestLowerGates:
     def test_frozen_masks(self):
-        assert LOWERED_GATE_MASKS == {
+        assert {tag: tag.table for tag in GATES} == {
             OpTag.AND: 0b1000,
             OpTag.NAND: 0b0111,
             OpTag.NOR: 0b0001,
@@ -60,7 +59,7 @@ class TestLowerGates:
             OpTag.XOR: 0b0110,
             OpTag.XNOR: 0b1001,
         }
-        assert NOT_MASK == 0b01
+        assert OpTag.NOT.table == 0b01
 
     @pytest.mark.parametrize("tag", GATES)
     def test_gate_becomes_lincomb(self, tag):
@@ -68,7 +67,7 @@ class TestLowerGates:
         (op,) = g.operators
         assert op.kind.tag is OpTag.LUT_LINCOMB
         assert op.kind.coeffs == (1, 2)
-        assert op.kind.lut == LOWERED_GATE_MASKS[tag]
+        assert op.kind.lut == tag.table
 
     @pytest.mark.parametrize("tag", GATES)
     def test_gate_semantics_preserved(self, tag):
@@ -87,7 +86,7 @@ class TestLowerGates:
         (op,) = g.operators
         assert op.kind.tag is OpTag.LUT_LINCOMB
         assert op.kind.coeffs == (1,)
-        assert op.kind.lut == NOT_MASK
+        assert op.kind.lut == OpTag.NOT.table
         assert evaluate(g, {0: 0})[g.returns[0]] == 1
         assert evaluate(g, {0: 1})[g.returns[0]] == 0
 
@@ -215,16 +214,20 @@ class TestCanonicalizeFusion:
         assert genutil.eval_all_bool(fused) == genutil.eval_all_bool(g)
 
     def test_single_input_duplicates_operand(self):
-        b = GraphBuilder("one")
-        a = b.argument(LWE)
-        i = b.op(OpKind(OpTag.AND), a, a)
-        b.ret(b.op(OpKind(OpTag.XOR), i, a))
-        g = b.build()
-        fused = canonicalize(g)
-        (op,) = fused.operators
-        assert op.kind.tag is OpTag.LUT2
-        assert op.operands == (0, 0)
-        assert genutil.eval_all_bool(fused) == genutil.eval_all_bool(g)
+        # xor(and(a, a), a) is constant 0; or(and(a, a), a) is a, whose
+        # off-diagonal index bits follow operand 0: mask 0b1010.
+        for outer, mask in ((OpTag.XOR, 0b0000), (OpTag.OR, 0b1010)):
+            b = GraphBuilder("one")
+            a = b.argument(LWE)
+            i = b.op(OpKind(OpTag.AND), a, a)
+            b.ret(b.op(OpKind(outer), i, a))
+            g = b.build()
+            fused = canonicalize(g)
+            (op,) = fused.operators
+            assert op.kind.tag is OpTag.LUT2
+            assert op.kind.lut == mask
+            assert op.operands == (0, 0)
+            assert genutil.eval_all_bool(fused) == genutil.eval_all_bool(g)
 
     def test_multi_use_inner_not_fused(self):
         b = GraphBuilder("multi")
