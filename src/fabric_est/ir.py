@@ -458,6 +458,16 @@ def kind_attr_problems(kind: OpKind, op_id: int | None = None) -> list[Violation
                         f"LUT mask out of range: luts[{i}] = {mask} not in [0, {bound})",
                         "luts",
                     )
+        if "coeffs" in allowed:
+            # The index reaches from the sum of the negative coeffs to
+            # the sum of the positive ones.
+            limit = 1 << arity
+            if min(kind.coeffs) < 0 or sum(kind.coeffs) >= limit:
+                problem(
+                    "lut-range",
+                    f"lincomb index out of range: coeffs give indices outside [0, {limit})",
+                    "coeffs",
+                )
     if kind.index is not None and kind.index < 0:
         problem("attr", f"{tag.opname} index must be non-negative", "index")
     return problems
@@ -469,10 +479,10 @@ def validate(graph: CircuitGraph) -> list[Violation]:
     Checked: unique operator ids (duplicate-id), single definition per
     value (double-def), function and value names that the printer can
     write back, one value per name (name), defined operands and returns
-    (use-before-def), operand/result arity, attribute presence, shapes
-    and LUT mask ranges, non-negative sections, operand types per
-    dialect, and acyclicity (only when the ids are unique; the violation
-    names the smallest op id on or below a cycle).
+    (use-before-def), operand/result arity, attribute presence, shapes,
+    LUT mask and lincomb index ranges, non-negative sections, operand
+    types per dialect, and acyclicity (only when the ids are unique; the
+    violation names the smallest op id on or below a cycle).
     """
     violations: list[Violation] = []
     if not _FUNC_NAME_RE.fullmatch(graph.name):

@@ -28,7 +28,7 @@ import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .ir import (
     FUNC_NAME,
@@ -79,11 +79,21 @@ class ParseError(Exception):
 
 class _Diagnostics(list):
     """The diagnostics of one parse, capped at MAX_DIAGNOSTICS; later
-    ones are dropped."""
+    ones are dropped.  The lexer runs as the parser reads, yet its
+    diagnostics come first: each goes in after the lexer's earlier ones,
+    before all others, and at the cap it drops the last of the others."""
+
+    lexed = 0  # the lexer's, at the front
 
     def add(self, message: str, span: SourceSpan) -> None:
         if not self.full():
             self.append(Diagnostic(message, span))
+
+    def add_lexed(self, message: str, span: SourceSpan) -> None:
+        if self.lexed < MAX_DIAGNOSTICS:
+            self.insert(self.lexed, Diagnostic(message, span))
+            self.lexed += 1
+            del self[MAX_DIAGNOSTICS:]
 
     def full(self) -> bool:
         return len(self) >= MAX_DIAGNOSTICS
@@ -132,22 +142,23 @@ class _Lexer:
         column = offset - self.line_starts[line - 1] + 1
         return SourceSpan(line, column, max(length, 1))
 
-    def tokens(self, diagnostics: _Diagnostics) -> list[_Token]:
-        toks: list[_Token] = []
+    def tokens(self, diagnostics: _Diagnostics) -> Iterator[_Token]:
+        """The tokens, lexed as they are read, then one eof token."""
         pos = 0
         n = len(self.text)
         while pos < n:
             m = _TOKEN_RE.match(self.text, pos)
             if m is None:
-                diagnostics.add(f"unexpected character {self.text[pos]!r}", self.span_at(pos, 1))
+                diagnostics.add_lexed(
+                    f"unexpected character {self.text[pos]!r}", self.span_at(pos, 1)
+                )
                 pos += 1
                 continue
             kind = m.lastgroup
             if kind not in ("ws", "comment"):
-                toks.append(_Token(kind, m.group(), self.span_at(pos, len(m.group()))))
+                yield _Token(kind, m.group(), self.span_at(pos, len(m.group())))
             pos = m.end()
-        toks.append(_Token("eof", "", self.span_at(n, 1)))
-        return toks
+        yield _Token("eof", "", self.span_at(n, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +192,14 @@ class _Abort(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diagnostics: _Diagnostics):
-        self.toks = tokens
-        self.pos = 0
+    """Recursive descent with one token of lookahead, `cur`."""
+
+    def __init__(self, tokens: Iterator[_Token], diagnostics: _Diagnostics):
+        self.tokens = tokens
+        self.cur = next(tokens)
         self.diags = diagnostics
 
     # -- token helpers
-
-    @property
-    def cur(self) -> _Token:
-        return self.toks[self.pos]
 
     def at(self, kind: str, text: str | None = None) -> bool:
         t = self.cur
@@ -199,7 +208,7 @@ class _Parser:
     def advance(self) -> _Token:
         t = self.cur
         if t.kind != "eof":
-            self.pos += 1
+            self.cur = next(self.tokens)
         return t
 
     def error(self, message: str, span: SourceSpan | None = None) -> None:
@@ -481,8 +490,10 @@ class _Builder:
 def parse(text: str) -> CircuitGraph:
     """Parse one function; raise ParseError with diagnostics on failure."""
     diagnostics = _Diagnostics()
-    # No name holds the tokens, so they are freed before the graph is built.
-    func = _Parser(_Lexer(text).tokens(diagnostics), diagnostics).parse_function()
+    tokens = _Lexer(text).tokens(diagnostics)
+    func = _Parser(tokens, diagnostics).parse_function()
+    for _ in tokens:  # the lexer's diagnostics past where the parser stopped
+        pass
     if func is not None and not diagnostics:
         graph = _Builder(func, diagnostics).build()
         if graph is not None:

@@ -286,3 +286,75 @@ def mutation_corpus(seed: int, count: int):
         else:
             g = random_ckks_graph(rng, max_ops=5)
         yield mutate_text(rng, print_circuit(g))
+
+
+# Raw JSON value tokens for config fields: extreme ints and floats, the
+# NaN and Infinity tokens json.loads accepts, 4,300- and 4,301-digit
+# literals, and values of the wrong type.
+_CONFIG_VALUES = (
+    "0", "1", "-1", "3", "4096", "9007199254740993", "1" + "0" * 400,
+    "9" * 4300, "9" * 4301, "0.5", "1.0", "-0.0", "5e-324", "1e-308",
+    "1e308", "1.7976931348623157e308", "2e400", "NaN", "Infinity",
+    "-Infinity", '"7"', "true", "null", "[]", "{}",
+)
+_FABRIC_KEYS = ("fcs_per_chip", "occupancy", "chips_per_board", "unit_time_per_gate")
+_COST_KEYS = ("fcs", "hbm_bytes", "ddr_bytes", "tiles")
+
+
+def _config_text(doc) -> str:
+    """JSON text of `doc`, a nest of dicts whose leaves are raw JSON
+    tokens, or one raw token."""
+    if isinstance(doc, str):
+        return doc
+    return "{" + ", ".join(f'"{k}": {_config_text(v)}' for k, v in doc.items()) + "}"
+
+
+def mutate_config(rng: random.Random):
+    """A complete config (every op tag costed) with one to three random
+    edits: set a fabric or cost field to an extreme or mistyped value,
+    delete a key, add an unknown key, or replace a section with a raw
+    value.  Returned as JSON text."""
+    doc = {
+        "fabric": {"fcs_per_chip": "4096", "occupancy": "0.5", "chips_per_board": "4",
+                   "unit_time_per_gate": "1.0"},
+        "costs": {tag.value: {"fcs": "256", "hbm_bytes": "0"} for tag in OpTag},
+    }
+    for _ in range(rng.choices((1, 2, 3), (6, 3, 1))[0]):
+        roll = rng.random()
+        costs = doc.get("costs")
+        costs = costs if isinstance(costs, dict) else {}
+        entries = [e for e in costs.values() if isinstance(e, dict)]
+        fabric = doc.get("fabric")
+        if roll < 0.4 and isinstance(fabric, dict):
+            fabric[_pick(rng, _FABRIC_KEYS)] = _pick(rng, _CONFIG_VALUES)
+        elif roll < 0.8 and entries:
+            # one op's cost, or every op's, so that the circuit uses it
+            key, value = _pick(rng, _COST_KEYS), _pick(rng, _CONFIG_VALUES)
+            for entry in entries if rng.random() < 0.5 else [_pick(rng, entries)]:
+                entry[key] = value
+        elif roll < 0.88:
+            # a missing key: a section, an op tag or a fabric field
+            section = _pick(rng, ("fabric", "costs"))
+            keys = list(doc[section]) if isinstance(doc.get(section), dict) else []
+            if rng.random() < 0.2 or not keys:
+                doc.pop(section, None)
+            else:
+                del doc[section][_pick(rng, keys)]
+        elif roll < 0.94:
+            # an unknown key, at the top, in a section or in a cost entry
+            where = [doc, *(s for s in doc.values() if isinstance(s, dict))]
+            if entries:
+                where.append(_pick(rng, entries))
+            _pick(rng, where)["bogus"] = _pick(rng, _CONFIG_VALUES)
+        elif roll < 0.98:
+            doc[_pick(rng, ("fabric", "costs"))] = _pick(rng, _CONFIG_VALUES)
+        else:
+            return _pick(rng, _CONFIG_VALUES)
+    return _config_text(doc)
+
+
+def config_corpus(seed: int, count: int):
+    """`count` mutated config texts, reproducible from `seed`."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield mutate_config(rng)

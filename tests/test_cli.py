@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -446,6 +447,43 @@ class TestConfig:
              "--cggi-estimate"]
         ) == 0
         assert capsys.readouterr().out == HALF_ADDER_TABLE
+
+
+# Runs every config of the config corpus goes through: a Boolean
+# circuit through estimate, sectionize and throughput, and a CKKS one.
+CONFIG_CORPUS_RUNS = (
+    ["--fixture", "full-adder", "--cggi-estimate", "--critical-path", "--throughput",
+     "--batch", "8"],
+    ["--fixture", "half-adder", "--sectionize", "--cggi-estimate"],
+    ["--fixture", "ckks-simple-sum", "--ckks-estimate", "--critical-path"],
+)
+
+
+def test_config_corpus(tmp_path, capsys):
+    """Every mutated config either fails with one `error:` line or gives
+    a report that is finite, in text, and strict JSON under --emit json."""
+    path = tmp_path / "hw.json"
+    failed = reported = 0
+    for text in genutil.config_corpus(seed=1, count=150):
+        path.write_text(text)
+        for run in CONFIG_CORPUS_RUNS:
+            for emit in ("text", "json"):
+                code = main([*run, "--emit", emit, "--config", str(path)])
+                out = capsys.readouterr()
+                if code == 1:
+                    failed += 1
+                    assert out.out == "" and out.err.count("\n") == 1, text
+                    assert out.err.startswith("error: "), text
+                    continue
+                assert code == 0 and out.err == "", text
+                reported += 1
+                if emit == "json":
+                    strict_json(out.out)
+                else:
+                    assert not re.search(r"\b(inf|nan)\b", out.out, re.I), text
+    # Most of the 900 runs end in an error; at least 100 of each kind
+    # test both paths.
+    assert failed >= 100 and reported >= 100
 
 
 class TestOutput:

@@ -267,6 +267,17 @@ class TestValidate:
         assert "lut-range" in codes(v)
         assert any("LUT mask out of range" in x.message for x in v)
 
+    @pytest.mark.parametrize(
+        "coeffs, ok",
+        [((1, 2), True), ((0, 3), True), ((2, 2), False), ((1, -1), False), ((-2, 5), False)],
+    )
+    def test_lincomb_index_range(self, coeffs, ok):
+        # Every index the coeffs can give must fall inside the table.
+        op = Operator(0, OpKind(OpTag.LUT_LINCOMB, coeffs=coeffs, lut=1), (0, 1), (2,))
+        v = [x for x in validate(self._one_op_graph(op)) if x.code == "lut-range"]
+        assert (v == []) == ok
+        assert all(x.attr == "coeffs" for x in v)
+
     def test_multi_lut_mask_range(self):
         kind = OpKind(OpTag.MULTI_LUT_LINCOMB, coeffs=(1, 2), luts=(3, 16))
         op = Operator(0, kind, (0, 1), (2, 3))

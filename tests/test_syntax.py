@@ -363,6 +363,22 @@ class TestDiagnostics:
             "[3, 99]",
         )
 
+    @pytest.mark.parametrize(
+        "line, anchor, limit",
+        [
+            ("  %0 = scifr_bool.lut_lincomb %a, %a, %a {coeffs = [243, 2, 4], lut = 1} : !lwe",
+             "[243, 2, 4]", 8),
+            ("  %0, %1 = scifr_bool.multi_lut_lincomb %a, %a {coeffs = [1, -2], luts = [1, 2]}"
+             " : !lwe", "[1, -2]", 4),
+        ],
+        ids=["past-the-table", "negative"],
+    )
+    def test_lincomb_index_out_of_range_span(self, line, anchor, limit):
+        # evaluate() would reject these on some inputs only.
+        self.check_span(
+            line, f"lincomb index out of range: coeffs give indices outside [0, {limit})", anchor
+        )
+
     def test_unexpected_attribute_span(self):
         self.check_span(
             "  %0 = scifr_bool.and %a, %a {lut = 7} : !lwe",
