@@ -9,8 +9,9 @@ Three methods ship side by side:
   (source argument, sink operator) pairs.  A source's BFS reaches no
   sink deeper than the greatest height among its consumers, so sources
   are searched in decreasing bound and only while one can still beat
-  the deepest sink found; then one parent-chain walk.  A lower bound:
-  shortest paths can bypass long chains through sibling edges.
+  the deepest sink found, or tie it from an earlier argument; then one
+  parent-chain walk.  A lower bound: shortest paths can bypass long
+  chains through sibling edges.
 * ``longest_path_cp`` - exact DAG longest path by operator count, from
   one height per op and a single walk; the reference circuit depth.
 
@@ -123,7 +124,8 @@ def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
     A source's BFS reaches no sink deeper than its bound, the greatest
     height among its consumers (0 with none).  Sources are searched in
     decreasing bound, ties in argument order, until the next bound is
-    at most D, the deepest sink depth seen; D is then exact.  The first
+    below D, the deepest sink depth seen, or equals D with no winner yet
+    or with its argument after the winner's; D is then exact.  The first
     argument whose BFS reaches a sink at depth D wins (arguments with a
     bound below D are skipped), and the parent chain of its smallest
     sink at D is walked once.  That is the result of one BFS per source
@@ -135,23 +137,15 @@ def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
     op_succs = graph.op_succs
     first = [graph.consumers.get(a, ()) for a in graph.argument_ids]
     bound = [max([height[c] for c in ops], default=0) for ops in first]
-    searched: set[int] = set()
     depth = 0
     best: tuple[int, int, dict[int, int]] | None = None  # argument index, sink, parents
     for i in sorted(range(len(first)), key=bound.__getitem__, reverse=True):
-        if bound[i] <= depth:
+        # A bound of D can only tie, and a tie goes to the earlier argument.
+        if bound[i] < depth or bound[i] == depth and (best is None or i > best[0]):
             break
-        searched.add(i)
         d, sink, parent = _bfs(first[i], op_succs)
         if d > depth or (d == depth and i < best[0]):
             depth, best = d, (i, sink, parent)
-    # An earlier argument not yet searched can still tie the winner.
-    for i in range(best[0] if best else 0):
-        if bound[i] >= depth and i not in searched:
-            d, sink, parent = _bfs(first[i], op_succs)
-            if d == depth:
-                best = (i, sink, parent)
-                break
     ops: list[int] = []
     if best is not None:
         _, node, parent = best

@@ -264,7 +264,12 @@ def parse_fixture_spec(spec: str) -> tuple[str, int | None]:
         raise FixtureError(f"malformed fixture spec '{spec}'")
     name = m.group(1)
     arg = m.group(2) or m.group(3)
-    return name, (int(arg) if arg is not None else None)
+    if arg is None:
+        return name, None
+    try:
+        return name, int(arg)
+    except ValueError:  # more digits than int() reads
+        raise FixtureError(f"fixture parameter of '{name}' too long ({len(arg)} digits)") from None
 
 
 def generate_fixture(name: str, n: int | None = None) -> CircuitGraph:

@@ -130,6 +130,17 @@ def lut_mask_bound(arity: int) -> int:
     return 1 << (1 << arity)
 
 
+def _pow2_text(exp: int) -> str:
+    """2**exp in a message: decimal up to 2**64, else written `2**exp`,
+    so that no message builds or prints a huge integer."""
+    return str(1 << exp) if exp <= 64 else f"2**{exp}"
+
+
+def _mask_bound_text(arity: int) -> str:
+    """lut_mask_bound(arity) in a message, written as by _pow2_text."""
+    return _pow2_text(1 << arity) if arity <= 64 else f"2**(2**{arity})"
+
+
 @dataclass(frozen=True)
 class OpKind:
     """An operator kind: a tag plus the attributes that tag requires
@@ -444,28 +455,31 @@ def kind_attr_problems(kind: OpKind, op_id: int | None = None) -> list[Violation
         problem("attr", f"{tag.opname} requires a non-empty 'luts'", "luts")
     arity = kind.arity
     if arity is not None:
-        bound = lut_mask_bound(arity)
+        size = 1 << arity  # index values, so mask bits
         if "lut" in allowed and kind.lut is not None:
-            if not 0 <= kind.lut < bound:
+            if kind.lut < 0 or kind.lut >> size:
                 problem(
-                    "lut-range", f"LUT mask out of range: {kind.lut} not in [0, {bound})", "lut"
+                    "lut-range",
+                    f"LUT mask out of range: {kind.lut} not in [0, {_mask_bound_text(arity)})",
+                    "lut",
                 )
         if "luts" in allowed and kind.luts:
             for i, mask in enumerate(kind.luts):
-                if not 0 <= mask < bound:
+                if mask < 0 or mask >> size:
                     problem(
                         "lut-range",
-                        f"LUT mask out of range: luts[{i}] = {mask} not in [0, {bound})",
+                        f"LUT mask out of range: luts[{i}] = {mask} "
+                        f"not in [0, {_mask_bound_text(arity)})",
                         "luts",
                     )
         if "coeffs" in allowed:
             # The index reaches from the sum of the negative coeffs to
             # the sum of the positive ones.
-            limit = 1 << arity
-            if min(kind.coeffs) < 0 or sum(kind.coeffs) >= limit:
+            if min(kind.coeffs) < 0 or sum(kind.coeffs) >= size:
                 problem(
                     "lut-range",
-                    f"lincomb index out of range: coeffs give indices outside [0, {limit})",
+                    "lincomb index out of range: coeffs give indices outside "
+                    f"[0, {_pow2_text(arity)})",
                     "coeffs",
                 )
     if kind.index is not None and kind.index < 0:
@@ -605,7 +619,10 @@ def _as_bit(x: object, what: str) -> int:
 
 def _as_vector(x: object, what: str) -> tuple[float, ...]:
     if isinstance(x, (list, tuple)) and len(x) > 0:
-        return tuple(float(s) for s in x)
+        try:
+            return tuple(float(s) for s in x)
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise EvaluationError(f"{what} must be a non-empty number vector, got {x!r}")
 
 

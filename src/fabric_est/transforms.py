@@ -5,13 +5,13 @@ combination form the fabric executes: the weights of ``ir.lut_form``
 become the coefficients and the truth table the LUT mask, so the
 combination reproduces the truth-table index.  ``canonicalize`` runs dead-op
 elimination, double-negation elimination, and single-use gate fusion to
-a fixed point.  ``sectionize`` packs operators into capacity-bounded
+a fixed point; only dead-op elimination deletes operators, the other two
+rules rewire.  ``sectionize`` packs operators into capacity-bounded
 sections greedily in topological order.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 
 from .ir import (
@@ -56,20 +56,10 @@ def lower_gates(graph: CircuitGraph) -> CircuitGraph:
     return replace(graph, operators=tuple(new_ops))
 
 
-def _rebuild(graph: CircuitGraph, operators: list[Operator]) -> CircuitGraph:
-    """Renumber ids to ordinals and drop names of vanished values."""
-    renumbered = [replace(op, id=i) for i, op in enumerate(operators)]
-    live: set[ValueId] = set(graph.argument_ids)
-    for op in renumbered:
-        live.update(op.operands)
-        live.update(op.results)
-    live.update(graph.returns)
-    names = {v: n for v, n in graph.value_names.items() if v in live}
-    return replace(graph, operators=tuple(renumbered), value_names=names)
-
-
-def _eliminate_dead_ops(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:
-    """Drop operators none of whose results transitively reach a return."""
+def _eliminate_dead_ops(graph: CircuitGraph) -> CircuitGraph:
+    """Drop operators none of whose results transitively reach a return,
+    renumber ids to ordinals and drop names of vanished values.  The
+    only rule that deletes operators."""
     producers = graph.producers
     live_ops: set[int] = set()
     stack = [producers[v].id for v in graph.returns if v in producers]
@@ -80,11 +70,18 @@ def _eliminate_dead_ops(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:
             stack.extend(producers[v].id for v in graph.operator(oid).operands if v in producers)
     kept = [op for op in graph.operators if op.id in live_ops]
     if len(kept) == len(graph.operators):
-        return graph, False
-    return _rebuild(graph, kept), True
+        return graph
+    renumbered = [replace(op, id=i) for i, op in enumerate(kept)]
+    live: set[ValueId] = set(graph.argument_ids)
+    for op in renumbered:
+        live.update(op.operands)
+        live.update(op.results)
+    live.update(graph.returns)
+    names = {v: n for v, n in graph.value_names.items() if v in live}
+    return replace(graph, operators=tuple(renumbered), value_names=names)
 
 
-def _eliminate_double_negation(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:
+def _eliminate_double_negation(graph: CircuitGraph) -> CircuitGraph:
     """Rewire consumers of Not(Not(x)) to x; the Nots die separately."""
     producers = graph.producers
     repl: dict[ValueId, ValueId] = {}
@@ -95,7 +92,7 @@ def _eliminate_double_negation(graph: CircuitGraph) -> tuple[CircuitGraph, bool]
         if inner is not None and inner.kind.tag is OpTag.NOT:
             repl[op.results[0]] = inner.operands[0]
     if not repl:
-        return graph, False
+        return graph
 
     def resolve(v: ValueId) -> ValueId:
         while v in repl:
@@ -107,20 +104,10 @@ def _eliminate_double_negation(graph: CircuitGraph) -> tuple[CircuitGraph, bool]
         for op in graph.operators
     ]
     new_returns = tuple(resolve(v) for v in graph.returns)
-    return replace(graph, operators=tuple(new_ops), returns=new_returns), True
+    return replace(graph, operators=tuple(new_ops), returns=new_returns)
 
 
-def _ordered_distinct(values: tuple[ValueId, ...]) -> list[ValueId]:
-    seen: list[ValueId] = []
-    for v in values:
-        if v not in seen:
-            seen.append(v)
-    return seen
-
-
-def _fused_kind(
-    inner: Operator, outer: Operator, r_slot: int, inputs: list[ValueId]
-) -> OpKind:
+def _fused_kind(inner: Operator, outer: Operator, inputs: list[ValueId]) -> OpKind:
     """Brute-force the composite truth table over the distinct inputs.
 
     Mask bit i is the composite output for input combination i with
@@ -128,29 +115,25 @@ def _fused_kind(
     input the op is a Lut2 over a duplicated operand; only the diagonal
     index bits are reachable and the rest follow operand 0.
     """
-    def composite(env: dict[ValueId, int]) -> int:
-        inner_out = gate_output(inner.kind.tag, env[inner.operands[0]], env[inner.operands[1]])
-        outer_args = [0, 0]
-        outer_args[r_slot] = inner_out
-        outer_args[1 - r_slot] = env[outer.operands[1 - r_slot]]
-        return gate_output(outer.kind.tag, outer_args[0], outer_args[1])
-
     width = max(len(inputs), 2)
     mask = 0
     for i in range(1 << width):
-        env = {v: (i >> slot) & 1 for slot, v in enumerate(inputs)}
-        mask |= composite(env) << i
+        bit = {v: (i >> slot) & 1 for slot, v in enumerate(inputs)}
+        bit[inner.results[0]] = gate_output(inner.kind.tag, *[bit[v] for v in inner.operands])
+        mask |= gate_output(outer.kind.tag, *[bit[v] for v in outer.operands]) << i
     return OpKind(OpTag.LUT2 if width == 2 else OpTag.LUT3, lut=mask)
 
 
-def _fuse_single_use_gates(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:
+def _fuse_single_use_gates(graph: CircuitGraph) -> CircuitGraph:
     """Fuse producer/consumer pairs of 2-input named gates into one LUT.
 
     Applies when the producer's result has exactly one use, is not
     returned, and the pair spans at most three distinct inputs (always
-    true for such pairs).  LUT and lincomb ops never participate.
+    true for such pairs).  LUT and lincomb ops never participate.  The
+    outer gate becomes the fused op; the inner one is left unused for
+    dead-op elimination to drop.
     """
-    use_count = Counter(v for op in graph.operators for v in op.operands)
+    consumers = graph.consumers
     returned = set(graph.returns)
     producers = graph.producers
     consumed: set[int] = set()
@@ -160,19 +143,18 @@ def _fuse_single_use_gates(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:
             continue
         for slot, r in enumerate(outer.operands):
             inner = producers.get(r)
+            other = outer.operands[1 - slot]
             if (
                 inner is None
-                or inner.id in consumed
                 or inner.id in fused
                 or inner.kind.tag not in TWO_INPUT_GATES
-                or use_count[r] != 1
+                or consumers[r] != (outer.id,)
+                or other == r
                 or r in returned
             ):
                 continue
-            inputs = _ordered_distinct(
-                inner.operands + (outer.operands[1 - slot],)
-            )
-            kind = _fused_kind(inner, outer, slot, inputs)
+            inputs = list(dict.fromkeys(inner.operands + (other,)))
+            kind = _fused_kind(inner, outer, inputs)
             operands = tuple(inputs) if len(inputs) > 1 else (inputs[0], inputs[0])
             fused[outer.id] = Operator(
                 outer.id, kind, operands, outer.results, outer.section
@@ -180,24 +162,25 @@ def _fuse_single_use_gates(graph: CircuitGraph) -> tuple[CircuitGraph, bool]:
             consumed.add(inner.id)
             break
     if not fused:
-        return graph, False
-    new_ops = [fused.get(op.id, op) for op in graph.operators if op.id not in consumed]
-    return _rebuild(graph, new_ops), True
+        return graph
+    new_ops = [fused.get(op.id, op) for op in graph.operators]
+    return replace(graph, operators=tuple(new_ops))
 
 
 def canonicalize(graph: CircuitGraph) -> CircuitGraph:
     """Run dead-op elimination, double-negation elimination, and
     single-use gate fusion to a fixed point (in that order per round).
 
-    Never increases the operator count and preserves evaluate()
-    semantics on the returned values.
+    Each rule returns its input when it finds nothing to do, and only
+    dead-op elimination deletes operators: the other two rewire, and
+    what they leave unused goes at the start of the next round.  Never
+    increases the operator count and preserves evaluate() semantics on
+    the returned values.
     """
-    g = graph
     while True:
-        g, changed_dce = _eliminate_dead_ops(g)
-        g, changed_neg = _eliminate_double_negation(g)
-        g, changed_fuse = _fuse_single_use_gates(g)
-        if not (changed_dce or changed_neg or changed_fuse):
+        g = _eliminate_dead_ops(graph)
+        graph = _fuse_single_use_gates(_eliminate_double_negation(g))
+        if graph is g:
             return g
 
 

@@ -72,6 +72,11 @@ class TestUsageErrors:
     def test_malformed_fixture_spec(self, capsys):
         assert main(["--fixture", "ripple-adder:x"]) == 2
         assert "malformed fixture spec" in capsys.readouterr().err
+        # more digits than int() reads
+        assert main(["--fixture", "ripple-adder:" + "9" * 5000, "--cggi-estimate"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: fixture parameter of 'ripple-adder' too long (5000 digits)\n"
 
 
 class TestEstimates:

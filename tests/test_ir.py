@@ -629,6 +629,20 @@ class TestEvaluateCkks:
             g, args, r = self._graph(OpKind(tag), (ct,))
             assert evaluate(g, {args[0]: u})[r] == u
 
+    @pytest.mark.parametrize(
+        "vector",
+        [[], ["a"], [10**400], [object()]],
+        ids=["empty", "text", "huge-int", "object"],
+    )
+    def test_bad_vector_rejected(self, vector):
+        ct = ValueType.CKKS_CIPHERTEXT
+        g, args, r = self._graph(OpKind(OpTag.NEGATE), (ct,))
+        name = g.display_name(args[0])
+        with pytest.raises(
+            EvaluationError, match=f"^argument %{name} must be a non-empty number vector"
+        ):
+            evaluate(g, {args[0]: vector})
+
     def test_mismatched_vector_lengths(self):
         ct = ValueType.CKKS_CIPHERTEXT
         g, args, r = self._graph(OpKind(OpTag.ADD), (ct, ct))

@@ -12,11 +12,14 @@ from fabric_est import (
     GraphBuilder,
     OpKind,
     OpTag,
+    ParseError,
     ValueType,
     approximate_cp,
+    canonicalize,
     generate_fixture,
     longest_path_cp,
     paper_exact_cp,
+    parse,
     topological_sort,
 )
 from fabric_est.fixtures import fixture_names, generate_from_spec
@@ -155,6 +158,56 @@ def test_many_argument_random_graphs():
         if i % 2:
             g = genutil.permute_operators(g, rng)
         assert paper_exact_cp(g, 2.0) == oracles.paper_exact_cp(g, 2.0)
+
+
+def assert_same_search(g, bfs_runs):
+    """paper_exact_cp gives the oracle's result through the same BFS runs."""
+    result = paper_exact_cp(g, 2.0)
+    runs = list(bfs_runs)
+    bfs_runs.clear()
+    assert result == oracles.pruned_paper_exact_cp(g, 2.0)
+    assert runs == bfs_runs
+
+
+def test_single_loop_search_matches_two_loop_search(bfs_runs):
+    rng = random.Random(7717)
+    for i in range(300):
+        g = genutil.random_bool_graph(rng, max_ops=60, max_args=1 + i % 16)
+        assert_same_search(g, bfs_runs)
+        bfs_runs.clear()
+        assert_same_search(genutil.permute_operators(g, rng), bfs_runs)
+        bfs_runs.clear()
+
+
+def assert_canonicalize_matches_oracle(g):
+    got, want = canonicalize(g), oracles.canonicalize(g)
+    assert got.operators == want.operators
+    assert got.returns == want.returns
+    assert got.value_names == want.value_names
+
+
+def test_canonicalize_random_graphs():
+    rng = random.Random(5003)
+    for i in range(500):
+        g = genutil.random_bool_graph(rng, max_ops=40, with_sections=i % 2 == 1)
+        assert_canonicalize_matches_oracle(g)
+        assert_canonicalize_matches_oracle(genutil.permute_operators(g, rng))
+
+
+@pytest.mark.parametrize("spec", ["array-mult:8", "table3-mult8", "full-adder"])
+def test_canonicalize_fixtures_before_lowering(spec):
+    g = generate_from_spec(spec)
+    assert_canonicalize_matches_oracle(g)
+    assert_canonicalize_matches_oracle(genutil.permute_operators(g, random.Random(spec)))
+
+
+def test_canonicalize_corpus():
+    for text in genutil.mutation_corpus(seed=1, count=2000):
+        try:
+            g = parse(text)
+        except ParseError:
+            continue
+        assert_canonicalize_matches_oracle(g)
 
 
 # The per-tag facts as they were stated before they moved onto OpTag:

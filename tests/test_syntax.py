@@ -1,6 +1,7 @@
 """Text format: lexer, parser, diagnostics, canonical printer."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -400,6 +401,46 @@ class TestDiagnostics:
             f"  %0 = scifr_ckks.rotate %x {{offset = {nines}}} : !ct",
             "integer literal has more than 4300 digits",
             nines,
+        )
+
+    @staticmethod
+    def wide_lincomb(n, lut, coeff=0):
+        """A lut_lincomb over n copies of %a, every coeff `coeff`."""
+        return (
+            f"  %0 = scifr_bool.lut_lincomb {', '.join(['%a'] * n)} "
+            f"{{coeffs = [{', '.join([str(coeff)] * n)}], lut = {lut}}} : !lwe"
+        )
+
+    def test_wide_lincomb_parses_in_little_memory(self):
+        # The mask bound of 24 coeffs, 2**(2**24), takes 2 MiB as an int.
+        text = f"func @f(%a: !lwe) -> !lwe {{\n{self.wide_lincomb(24, 1)}\n  return %0 : !lwe\n}}\n"
+        tracemalloc.start()
+        try:
+            g = parse(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.operators[0].kind.coeffs == (0,) * 24
+        assert peak < 256 * 1024
+
+    @pytest.mark.parametrize(
+        "n, bound", [(6, "18446744073709551616"), (7, "2**128"), (14, "2**16384")]
+    )
+    def test_wide_lincomb_mask_out_of_range_span(self, n, bound):
+        # From 14 coeffs the bound has more than 4300 decimal digits.
+        line = self.wide_lincomb(n, -1)
+        ds = diags_of(f"func @f(%a: !lwe) -> !lwe {{\n{line}\n  return %0 : !lwe\n}}\n")
+        assert [(d.message, d.span.line, d.span.column, d.span.length) for d in ds] == [
+            (f"LUT mask out of range: -1 not in [0, {bound})", 2, line.index("-1") + 1, 2)
+        ]
+
+    def test_very_wide_lincomb_index_out_of_range_span(self):
+        # 2**14300 has more than 4300 decimal digits.
+        line = self.wide_lincomb(14300, 0, coeff=-1)
+        self.check_span(
+            line,
+            "lincomb index out of range: coeffs give indices outside [0, 2**14300)",
+            "[" + ", ".join(["-1"] * 14300) + "]",
         )
 
     def test_unknown_character(self):
