@@ -227,25 +227,21 @@ def estimate(graph: CircuitGraph, config: FabricConfig, costs: CostTable) -> Res
     """
     counts = Counter(op.kind.tag for op in graph.operators)
     per_kind_fcs = {tag: counts.get(tag, 0) * costs[tag].fcs for tag in OpTag}
-    total_fcs = sum(per_kind_fcs.values())
-    total_hbm = sum(counts.get(tag, 0) * costs[tag].hbm_bytes for tag in OpTag)
-    total_ddr = sum(counts.get(tag, 0) * costs[tag].ddr_bytes for tag in OpTag)
-    total_tiles = sum(counts.get(tag, 0) * costs[tag].tiles for tag in OpTag)
     # Costs are non-negative, so each total bounds its per-kind values and
     # total_fcs bounds the chip and board counts.
-    for name, total in (("total_fcs", total_fcs), ("total_hbm_bytes", total_hbm),
-                        ("total_ddr_bytes", total_ddr), ("total_tiles", total_tiles)):
-        reportable(total, name)
-    chips = max(1, -(-total_fcs // config.usable_fcs_per_chip))
+    totals = {
+        f"total_{name}": reportable(
+            sum(n * getattr(costs[tag], name) for tag, n in counts.items()), f"total_{name}"
+        )
+        for name in _COST_FIELDS
+    }
+    chips = max(1, -(-totals["total_fcs"] // config.usable_fcs_per_chip))
     boards = -(-chips // config.chips_per_board)
     return ResourceReport(
         function_name=graph.name,
         op_count=len(graph.operators),
         per_kind_fcs=per_kind_fcs,
-        total_fcs=total_fcs,
-        total_hbm_bytes=total_hbm,
-        total_ddr_bytes=total_ddr,
-        total_tiles=total_tiles,
+        **totals,
         chips=chips,
         boards=boards,
     )

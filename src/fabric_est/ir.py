@@ -609,12 +609,21 @@ class EvaluationError(Exception):
     """Raised for bad evaluator inputs or out-of-range LUT indices."""
 
 
+def _shown(x: object) -> str:
+    """`repr(x)` for a message, or x's type when repr raises (as it does
+    on an int past sys.get_int_max_str_digits())."""
+    try:
+        return repr(x)
+    except Exception:
+        return f"a value of type {type(x).__name__}"
+
+
 def _as_bit(x: object, what: str) -> int:
     if isinstance(x, bool):
         return int(x)
     if isinstance(x, int) and x in (0, 1):
         return x
-    raise EvaluationError(f"{what} must be a bit (0 or 1), got {x!r}")
+    raise EvaluationError(f"{what} must be a bit (0 or 1), got {_shown(x)}")
 
 
 def _as_vector(x: object, what: str) -> tuple[float, ...]:
@@ -623,7 +632,7 @@ def _as_vector(x: object, what: str) -> tuple[float, ...]:
             return tuple(float(s) for s in x)
         except (TypeError, ValueError, OverflowError):
             pass
-    raise EvaluationError(f"{what} must be a non-empty number vector, got {x!r}")
+    raise EvaluationError(f"{what} must be a non-empty number vector, got {_shown(x)}")
 
 
 def lut_form(kind: OpKind) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -117,6 +117,7 @@ _TOKEN_RE = re.compile(
     | (?P<type>![A-Za-z_]+)
     | (?P<int>-?[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -129,36 +130,22 @@ class _Token:
     span: SourceSpan
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.line_starts.append(i + 1)
-
-    def span_at(self, offset: int, length: int) -> SourceSpan:
-        line = bisect_right(self.line_starts, offset)
-        column = offset - self.line_starts[line - 1] + 1
-        return SourceSpan(line, column, max(length, 1))
-
-    def tokens(self, diagnostics: _Diagnostics) -> Iterator[_Token]:
-        """The tokens, lexed as they are read, then one eof token."""
-        pos = 0
-        n = len(self.text)
-        while pos < n:
-            m = _TOKEN_RE.match(self.text, pos)
-            if m is None:
-                diagnostics.add_lexed(
-                    f"unexpected character {self.text[pos]!r}", self.span_at(pos, 1)
-                )
-                pos += 1
-                continue
-            kind = m.lastgroup
-            if kind not in ("ws", "comment"):
-                yield _Token(kind, m.group(), self.span_at(pos, len(m.group())))
-            pos = m.end()
-        yield _Token("eof", "", self.span_at(n, 1))
+def _tokens(text: str, diagnostics: _Diagnostics) -> Iterator[_Token]:
+    """The tokens, lexed as they are read, then one eof token.  Each
+    character no token starts with is one lexer diagnostic."""
+    line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws" or kind == "comment":
+            continue
+        start = m.start()
+        line = bisect_right(line_starts, start)
+        span = SourceSpan(line, start - line_starts[line - 1] + 1, m.end() - start)
+        if kind == "bad":
+            diagnostics.add_lexed(f"unexpected character {m.group()!r}", span)
+        else:
+            yield _Token(kind, m.group(), span)
+    yield _Token("eof", "", SourceSpan(len(line_starts), len(text) - line_starts[-1] + 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +154,21 @@ class _Lexer:
 
 @dataclass
 class _RawOp:
-    results: list[tuple[str, SourceSpan]]
-    opname: str
-    opname_span: SourceSpan
-    operands: list[tuple[str, SourceSpan]]
+    results: list[_Token]
+    opname: _Token
+    operands: list[_Token]
     attrs: dict[str, tuple[object, SourceSpan]]
-    type_text: str
-    type_span: SourceSpan
+    type: _Token
 
 
 @dataclass
 class _RawFunc:
-    name: str
-    args: list[tuple[str, SourceSpan, str, SourceSpan]]  # name, span, type, type span
-    arrow_types: list[tuple[str, SourceSpan]]
+    name: _Token
+    args: list[tuple[_Token, _Token]]  # value, type
+    arrow_types: list[_Token]
     ops: list[_RawOp] = field(default_factory=list)
-    ret_operands: list[tuple[str, SourceSpan]] = field(default_factory=list)
-    ret_types: list[tuple[str, SourceSpan]] = field(default_factory=list)
-    name_span: SourceSpan = SourceSpan(1, 1, 1)
+    ret_operands: list[_Token] = field(default_factory=list)
+    ret_types: list[_Token] = field(default_factory=list)
 
 
 class _Abort(Exception):
@@ -229,17 +213,12 @@ class _Parser:
             items.append(item(*args))
         return items
 
-    def value(self, what: str) -> tuple[str, SourceSpan]:
-        tok = self.expect("value", None, what)
-        return tok.text[1:], tok.span
-
     # -- grammar
 
     def parse_function(self) -> _RawFunc | None:
         try:
             self.expect("ident", "func", "'func'")
-            name_tok = self.expect("at", None, "function name ('@name')")
-            func = _RawFunc(name_tok.text[1:], [], [], name_span=name_tok.span)
+            func = _RawFunc(self.expect("at", None, "function name ('@name')"), [], [])
             self.expect("punct", "(", "'('")
             if self.at("value"):
                 func.args = self.comma_list(self.parse_arg)
@@ -261,7 +240,7 @@ class _Parser:
         try:
             self.expect("ident", "return", "'return'")
             if self.at("value"):
-                func.ret_operands = self.comma_list(self.value, "a value after ','")
+                func.ret_operands = self.comma_list(self.expect, "value", None, "a value after ','")
             self.expect("punct", ":", "':' after return operands")
             func.ret_types = self.parse_typelist(stop="}")
             self.expect("punct", "}", "'}'")
@@ -271,25 +250,23 @@ class _Parser:
             pass
         return func
 
-    def parse_arg(self) -> tuple[str, SourceSpan, str, SourceSpan]:
-        name, span = self.value("a value after ','")
+    def parse_arg(self) -> tuple[_Token, _Token]:
+        value = self.expect("value", None, "a value after ','")
         self.expect("punct", ":", "':' after argument name")
-        ty = self.expect("type", None, "argument type")
-        return name, span, ty.text, ty.span
+        return value, self.expect("type", None, "argument type")
 
-    def parse_typelist(self, stop: str) -> list[tuple[str, SourceSpan]]:
+    def parse_typelist(self, stop: str) -> list[_Token]:
         if self.at("punct", stop):
             return []
-        types = self.comma_list(self.expect, "type", None, "a type")
-        return [(ty.text, ty.span) for ty in types]
+        return self.comma_list(self.expect, "type", None, "a type")
 
     def parse_stmt(self) -> _RawOp:
-        results = self.comma_list(self.value, "a result value")
+        results = self.comma_list(self.expect, "value", None, "a result value")
         self.expect("punct", "=", "'='")
-        opname_tok = self.expect("ident", None, "an operation name")
+        opname = self.expect("ident", None, "an operation name")
         operands = []
         if self.at("value"):
-            operands = self.comma_list(self.value, "a value after ','")
+            operands = self.comma_list(self.expect, "value", None, "a value after ','")
         attrs: dict[str, tuple[object, SourceSpan]] = {}
         if self.at("punct", "{"):
             self.advance()
@@ -297,7 +274,7 @@ class _Parser:
             self.expect("punct", "}", "'}' after attributes")
         self.expect("punct", ":", "':' before the result type")
         ty = self.expect("type", None, "a result type")
-        return _RawOp(results, opname_tok.text, opname_tok.span, operands, attrs, ty.text, ty.span)
+        return _RawOp(results, opname, operands, attrs, ty)
 
     def parse_attr(self, attrs: dict[str, tuple[object, SourceSpan]]) -> None:
         name_tok = self.expect("ident", None, "an attribute name")
@@ -352,35 +329,32 @@ class _Builder:
 
     def build(self) -> CircuitGraph | None:
         func = self.func
-        ids: dict[str, int] = {}
+        ids: dict[str, int] = {}  # by value token text, '%' included
         names: dict[int, str] = {}
-        next_id = 0
 
-        def define(name: str, span: SourceSpan) -> int:
-            nonlocal next_id
-            if name in ids:
-                self.diags.add(f"value %{name} defined more than once", span)
-                return ids[name]
-            ids[name] = next_id
-            names[next_id] = name
-            next_id += 1
-            return ids[name]
+        def define(tok: _Token) -> int:
+            if tok.text in ids:
+                self.diags.add(f"value {tok.text} defined more than once", tok.span)
+                return ids[tok.text]
+            vid = ids[tok.text] = len(names)
+            names[vid] = tok.text[1:]
+            return vid
 
         arguments: list[tuple[int, ValueType]] = []
-        for name, span, type_text, type_span in func.args:
-            vt = _TYPE_BY_SPELLING.get(type_text)
+        for value, ty in func.args:
+            vt = _TYPE_BY_SPELLING.get(ty.text)
             if vt is None:
-                self.diags.add(f"unknown type {type_text}", type_span)
+                self.diags.add(f"unknown type {ty.text}", ty.span)
                 vt = ValueType.LWE_CIPHERTEXT
-            arguments.append((define(name, span), vt))
+            arguments.append((define(value), vt))
 
         # Pass one: define every result so forward references resolve.
         for raw in func.ops:
-            for name, span in raw.results:
-                define(name, span)
+            for tok in raw.results:
+                define(tok)
 
         operators: list[Operator] = []
-        op_raws: list[_RawOp] = []
+        op_raws: list[_RawOp] = []  # op_raws[i] parsed to the op with id i
         for raw in func.ops:
             op = self.build_op(raw, ids, len(operators))
             if op is not None:
@@ -388,28 +362,28 @@ class _Builder:
                 op_raws.append(raw)
 
         returns: list[int] = []
-        for name, span in func.ret_operands:
-            vid = ids.get(name)
+        for tok in func.ret_operands:
+            vid = ids.get(tok.text)
             if vid is None:
-                self.diags.add(f"use-before-def %{name}", span)
+                self.diags.add(f"use-before-def {tok.text}", tok.span)
             else:
                 returns.append(vid)
 
         if self.diags:
             return None
         graph = CircuitGraph(
-            func.name, tuple(arguments), tuple(operators), tuple(returns), names
+            func.name.text[1:], tuple(arguments), tuple(operators), tuple(returns), names
         )
         self.check_return_types(graph)
         if self.diags:
             return None
         for violation in validate(graph):
             # At the attribute's value, else the op name, else the function name.
-            span = func.name_span
-            if violation.op_id is not None and violation.op_id < len(op_raws):
+            span = func.name.span
+            if violation.op_id is not None:
                 raw = op_raws[violation.op_id]
                 attr = raw.attrs.get(violation.attr)
-                span = attr[1] if attr is not None else raw.opname_span
+                span = attr[1] if attr is not None else raw.opname.span
             self.diags.add(violation.message, span)
         if self.diags:
             return None
@@ -418,9 +392,10 @@ class _Builder:
     def build_op(self, raw: _RawOp, ids: dict[str, int], op_id: int) -> Operator | None:
         """Resolve one statement; attribute presence and ranges, operand
         and result counts are left to validate()."""
-        tag = _TAG_BY_OPNAME.get(raw.opname)
+        opname = raw.opname.text
+        tag = _TAG_BY_OPNAME.get(opname)
         if tag is None:
-            self.diags.add(f"unknown operation '{raw.opname}'", raw.opname_span)
+            self.diags.add(f"unknown operation '{opname}'", raw.opname.span)
             return None
 
         fields: dict[str, object] = {}
@@ -428,7 +403,7 @@ class _Builder:
         ok = True
         for name, (value, vspan) in raw.attrs.items():
             if name not in KIND_ATTRS and name != "section":
-                self.diags.add(f"{raw.opname} does not take attribute '{name}'", vspan)
+                self.diags.add(f"{opname} does not take attribute '{name}'", vspan)
                 ok = False
                 continue
             problem = attr_shape_problem(name, value)
@@ -443,24 +418,24 @@ class _Builder:
             return None
 
         want_type = tag.result_type.value
-        if raw.type_text != want_type:
+        if raw.type.text != want_type:
             self.diags.add(
-                f"type mismatch: {raw.opname} produces {want_type}, not {raw.type_text}",
-                raw.type_span,
+                f"type mismatch: {opname} produces {want_type}, not {raw.type.text}",
+                raw.type.span,
             )
             ok = False
 
         operands: list[int] = []
-        for name, span in raw.operands:
-            vid = ids.get(name)
+        for tok in raw.operands:
+            vid = ids.get(tok.text)
             if vid is None:
-                self.diags.add(f"use-before-def %{name}", span)
+                self.diags.add(f"use-before-def {tok.text}", tok.span)
                 ok = False
             else:
                 operands.append(vid)
         if not ok:
             return None
-        results = tuple(ids[name] for name, _ in raw.results)
+        results = tuple(ids[tok.text] for tok in raw.results)
         return Operator(op_id, OpKind(tag, **fields), tuple(operands), results, section)
 
     def check_return_types(self, graph: CircuitGraph) -> None:
@@ -468,29 +443,33 @@ class _Builder:
         types = graph.value_types
         actual = [types[v].value for v in graph.returns]
         if len(func.ret_types) != len(actual):
-            span = func.ret_types[0][1] if func.ret_types else func.name_span
+            span = func.ret_types[0].span if func.ret_types else func.name.span
             self.diags.add(
                 f"return lists {len(func.ret_types)} types for {len(actual)} values", span
             )
             return
-        for want, (got, span) in zip(actual, func.ret_types):
-            if got != want:
-                self.diags.add(f"return type mismatch: value has type {want}, not {got}", span)
+        for want, got in zip(actual, func.ret_types):
+            if got.text != want:
+                self.diags.add(
+                    f"return type mismatch: value has type {want}, not {got.text}", got.span
+                )
         if len(func.arrow_types) != len(actual):
             self.diags.add(
                 f"function signature declares {len(func.arrow_types)} results, returns {len(actual)}",
-                func.name_span,
+                func.name.span,
             )
             return
-        for want, (got, span) in zip(actual, func.arrow_types):
-            if got != want:
-                self.diags.add(f"declared result type {got} does not match returned {want}", span)
+        for want, got in zip(actual, func.arrow_types):
+            if got.text != want:
+                self.diags.add(
+                    f"declared result type {got.text} does not match returned {want}", got.span
+                )
 
 
 def parse(text: str) -> CircuitGraph:
     """Parse one function; raise ParseError with diagnostics on failure."""
     diagnostics = _Diagnostics()
-    tokens = _Lexer(text).tokens(diagnostics)
+    tokens = _tokens(text, diagnostics)
     func = _Parser(tokens, diagnostics).parse_function()
     for _ in tokens:  # the lexer's diagnostics past where the parser stopped
         pass

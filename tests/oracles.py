@@ -377,3 +377,67 @@ def pruned_paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> Critic
             node = parent[node]
         ops.reverse()
     return critical_path._result(Method.PAPER_EXACT, ops, unit_time)
+
+
+# ---------------------------------------------------------------------------
+# The lexer as it was before it became one `finditer` pass: a verbatim
+# copy of syntax._TOKEN_RE and syntax._Lexer, which matched once per
+# position and built the line table one character at a time.
+
+import re
+from bisect import bisect_right
+from typing import Iterator
+
+from fabric_est.ir import FUNC_NAME, VALUE_NAME
+from fabric_est.syntax import SourceSpan, _Diagnostics, _Token
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\r\n]+)
+    | (?P<comment>//[^\n]*)
+    | (?P<arrow>->)
+    | (?P<punct>[(){}\[\],=:])
+    | (?P<value>%"""
+    + VALUE_NAME
+    + r""")
+    | (?P<at>@"""
+    + FUNC_NAME
+    + r""")
+    | (?P<type>![A-Za-z_]+)
+    | (?P<int>-?[0-9]+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
+    """,
+    re.VERBOSE,
+)
+
+
+class _Lexer:
+    def __init__(self, text: str):
+        self.text = text
+        self.line_starts = [0]
+        for i, ch in enumerate(text):
+            if ch == "\n":
+                self.line_starts.append(i + 1)
+
+    def span_at(self, offset: int, length: int) -> SourceSpan:
+        line = bisect_right(self.line_starts, offset)
+        column = offset - self.line_starts[line - 1] + 1
+        return SourceSpan(line, column, max(length, 1))
+
+    def tokens(self, diagnostics: _Diagnostics) -> Iterator[_Token]:
+        """The tokens, lexed as they are read, then one eof token."""
+        pos = 0
+        n = len(self.text)
+        while pos < n:
+            m = _TOKEN_RE.match(self.text, pos)
+            if m is None:
+                diagnostics.add_lexed(
+                    f"unexpected character {self.text[pos]!r}", self.span_at(pos, 1)
+                )
+                pos += 1
+                continue
+            kind = m.lastgroup
+            if kind not in ("ws", "comment"):
+                yield _Token(kind, m.group(), self.span_at(pos, len(m.group())))
+            pos = m.end()
+        yield _Token("eof", "", self.span_at(n, 1))

@@ -541,6 +541,8 @@ class TestEvaluateBool:
             evaluate(g, {x: 1, y: 0, 99: 1})
         with pytest.raises(EvaluationError):
             evaluate(g, {x: 2, y: 0})
+        with pytest.raises(EvaluationError, match="got a value of type int$"):
+            evaluate(g, {x: 10**5000, y: 0})  # too long for repr
 
     def test_non_topological_order_evaluates(self):
         rng = random.Random(11)
@@ -631,8 +633,8 @@ class TestEvaluateCkks:
 
     @pytest.mark.parametrize(
         "vector",
-        [[], ["a"], [10**400], [object()]],
-        ids=["empty", "text", "huge-int", "object"],
+        [[], ["a"], [10**400], [object()], [10**5000]],
+        ids=["empty", "text", "huge-int", "object", "unprintable-int"],
     )
     def test_bad_vector_rejected(self, vector):
         ct = ValueType.CKKS_CIPHERTEXT

@@ -1,5 +1,6 @@
-"""Differential tests: the shared graph index and the critical-path
-methods that read it against the verbatim oracles in oracles.py."""
+"""Differential tests: the shared graph index, the critical-path
+methods that read it, canonicalize and the lexer against the verbatim
+oracles in oracles.py."""
 
 import random
 import tracemalloc
@@ -20,10 +21,13 @@ from fabric_est import (
     longest_path_cp,
     paper_exact_cp,
     parse,
+    print_circuit,
     topological_sort,
 )
+from fabric_est import syntax
 from fabric_est.fixtures import fixture_names, generate_from_spec
 from fabric_est.ir import BOOL_TAGS, CKKS_TAGS, TWO_INPUT_GATES
+from test_corpus import MULTI_ERROR_TEXTS
 
 NOT = OpKind(OpTag.NOT)
 AND = OpKind(OpTag.AND)
@@ -335,3 +339,41 @@ def test_kind_counts_match_old_if_chain():
                 kind = OpKind(tag, coeffs=coeffs, luts=luts)
                 assert kind.arity == old_arity(kind), (tag, coeffs)
                 assert kind.num_results == old_num_results(kind), (tag, luts)
+
+
+def assert_lexes_like_oracle(text):
+    diags, oracle_diags = syntax._Diagnostics(), syntax._Diagnostics()
+    tokens = list(syntax._tokens(text, diags))
+    assert tokens == list(oracles._Lexer(text).tokens(oracle_diags)), text
+    assert diags == oracle_diags, text
+    assert diags.lexed == oracle_diags.lexed
+
+
+def test_lexer_fixture_texts():
+    for name in fixture_names():
+        assert_lexes_like_oracle(print_circuit(generate_fixture(name)))
+
+
+def test_lexer_error_texts():
+    for text in MULTI_ERROR_TEXTS:
+        assert_lexes_like_oracle(text)
+
+
+def test_lexer_corpus():
+    for text in genutil.mutation_corpus(seed=1, count=2000):
+        assert_lexes_like_oracle(text)
+
+
+# Token characters, characters that start no token on their own (`% @ !
+# - / > # $`), the whitespace kinds, NUL and non-ASCII letters.
+_LEX_ALPHABET = "%@!-/>#$:=,(){}[]_.09aZ \r\t\n\0éßλ中"
+_LEX_PIECES = ("//", "->", "%a0", "@f", "!lwe", "-12", "func", "scifr_bool.not")
+
+
+def test_lexer_random_strings():
+    rng = random.Random(15)
+    for _ in range(3000):
+        parts = rng.choices(_LEX_ALPHABET, k=rng.randrange(30))
+        for _ in range(rng.randrange(3)):
+            parts.insert(rng.randrange(len(parts) + 1), rng.choice(_LEX_PIECES))
+        assert_lexes_like_oracle("".join(parts))
