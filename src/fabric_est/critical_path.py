@@ -56,25 +56,21 @@ class ThroughputResult(NamedTuple):
     outputs_per_batch_window: int
 
 
-def _order_error(graph: CircuitGraph) -> ValueError:
-    return ValueError(duplicate_id_message(graph) or "graph contains a dependency cycle")
-
-
 def topological_sort(graph: CircuitGraph) -> list[int]:
     """Operator ids in dependency order (Kahn's algorithm; the ready set
     is popped in ascending operator id order).  Raises ValueError on a
-    cyclic graph or repeated operator ids, which validate() reports
-    beforehand."""
+    cyclic graph or ids that are not a permutation of 0..n-1, which
+    validate() reports beforehand."""
     if graph.topo_order is None:
-        raise _order_error(graph)
+        raise ValueError(duplicate_id_message(graph) or "graph contains a dependency cycle")
     return list(graph.topo_order)
 
 
-def _heights(graph: CircuitGraph) -> dict[int, int]:
+def _heights(graph: CircuitGraph) -> tuple[int, ...]:
     """graph.op_heights; the ValueError of topological_sort when the
     graph has no topological order."""
     if graph.op_heights is None:
-        raise _order_error(graph)
+        topological_sort(graph)  # raises
     return graph.op_heights
 
 
@@ -93,24 +89,25 @@ def approximate_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
 
 
 def _bfs(
-    first: tuple[int, ...], op_succs: dict[int, tuple[int, ...]]
-) -> tuple[int, int, dict[int, int]]:
+    first: tuple[int, ...], succs: tuple[tuple[int, ...], ...]
+) -> tuple[int, int, list[int | None]]:
     """BFS from the ops `first` (depth 1, in order; neighbors ascending).
 
     Returns the greatest depth at which it reaches a sink, the smallest
-    sink at that depth, and each reached op's parent (-1 for `first`).
-    """
-    parent = dict.fromkeys(first, -1)
-    queue = list(parent)
+    sink at that depth, and the parent list by op id (-1 for `first`)."""
+    parent: list[int | None] = [None] * len(succs)
+    for oid in first:
+        parent[oid] = -1
+    queue = list(first)
     depth, level_end = 1, len(queue)
     best_depth, best_sink = 0, -1
     for i, oid in enumerate(queue):  # the FIFO, iterated while it grows
         if i == level_end:
             depth, level_end = depth + 1, len(queue)
-        succs = op_succs[oid]
-        if succs:
-            for succ in succs:
-                if succ not in parent:
+        below = succs[oid]
+        if below:
+            for succ in below:
+                if parent[succ] is None:
                     parent[succ] = oid
                     queue.append(succ)
         elif depth > best_depth or oid < best_sink:
@@ -134,16 +131,16 @@ def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
     argument.
     """
     height = _heights(graph)
-    op_succs = graph.op_succs
+    succs = graph.successors
     first = [graph.consumers.get(a, ()) for a in graph.argument_ids]
     bound = [max([height[c] for c in ops], default=0) for ops in first]
     depth = 0
-    best: tuple[int, int, dict[int, int]] | None = None  # argument index, sink, parents
+    best: tuple[int, int, list[int | None]] | None = None  # argument index, sink, parents
     for i in sorted(range(len(first)), key=bound.__getitem__, reverse=True):
         # A bound of D can only tie, and a tie goes to the earlier argument.
         if bound[i] < depth or bound[i] == depth and (best is None or i > best[0]):
             break
-        d, sink, parent = _bfs(first[i], op_succs)
+        d, sink, parent = _bfs(first[i], succs)
         if d > depth or (d == depth and i < best[0]):
             depth, best = d, (i, sink, parent)
     ops: list[int] = []
@@ -161,13 +158,13 @@ def longest_path_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPath
     lexicographically smallest op-id sequence.  The walk starts at the
     smallest op of greatest height (CircuitGraph.op_heights) and steps
     to the smallest successor one height lower."""
-    op_succs = graph.op_succs
     height = _heights(graph)
+    succs = graph.successors
     ops: list[int] = []
-    node = min(height, key=lambda oid: (-height[oid], oid), default=None)
+    node = height.index(max(height)) if height else None
     while node is not None:
         ops.append(node)
-        node = next((s for s in op_succs[node] if height[s] == height[node] - 1), None)
+        node = next((s for s in succs[node] if height[s] == height[node] - 1), None)
     return _result(Method.LONGEST_PATH, ops, unit_time)
 
 

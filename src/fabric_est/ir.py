@@ -207,10 +207,10 @@ class Operator:
 class CircuitGraph:
     """A single function: arguments, operators, returned values.
 
-    Operator storage order need not be topological; validate() checks
-    unique operator ids, SSA single definition and acyclicity.
-    `value_names` carries the textual names used when printing;
-    missing entries fall back to the numeric id.
+    Operator ids are a permutation of 0..n-1 and storage order is free;
+    each per-op index (successors, op_heights) is a tuple read by id.
+    validate() checks the ids, SSA single definition and acyclicity.
+    `value_names` holds the printed names; a missing one reads the id.
     """
 
     name: str
@@ -239,11 +239,18 @@ class CircuitGraph:
         return prod
 
     @cached_property
+    def _by_id(self) -> tuple[Operator, ...] | None:
+        """Op i at index i, or None unless the ids are a permutation."""
+        by_id = {op.id: op for op in self.operators if isinstance(op.id, int)}
+        ops = tuple(map(by_id.get, range(len(self.operators))))
+        return ops if all(ops) else None
+
+    @cached_property
     def consumers(self) -> dict[ValueId, tuple[int, ...]]:
-        """Consuming operator ids per value, ascending and deduplicated:
-        the one edge index, filled in a single pass in id order."""
+        """Consuming operator ids per value, ascending and deduplicated: the
+        one edge index, filled in one pass in id order (else storage order)."""
         cons: dict[ValueId, list[int]] = {}
-        for op in sorted(self.operators, key=lambda op: op.id):
+        for op in self._by_id or self.operators:
             oid = op.id
             for v in op.operands:
                 ids = cons.get(v)
@@ -254,21 +261,25 @@ class CircuitGraph:
         return {v: tuple(ids) for v, ids in cons.items()}
 
     @cached_property
-    def op_succs(self) -> dict[int, tuple[int, ...]]:
-        """Consumer operator ids per operator, ascending: the consumers of
-        the results it produces.  An operator that consumes its own result
-        lists itself, so the self-use is a cycle like any other."""
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """At index i, the ascending ids of the ops that consume op i's
+        results; an op that consumes its own result lists itself (a cycle)."""
         consumers = self.consumers
         producers = self.producers
-        succs: dict[int, tuple[int, ...]] = {}
-        for op in self.operators:
+        succs: list[tuple[int, ...]] = []
+        for op in self._by_id or self.operators:
             rows = [consumers.get(r, ()) for r in op.results if producers[r] is op]
-            succs[op.id] = rows[0] if len(rows) == 1 else tuple(sorted(set().union(*rows)))
-        return succs
+            succs.append(rows[0] if len(rows) == 1 else tuple(sorted(set().union(*rows))))
+        return tuple(succs)
+
+    @cached_property
+    def op_succs(self) -> dict[int, tuple[int, ...]]:
+        """`successors` as a dict keyed by op id."""
+        return dict(enumerate(self.successors))
 
     @cached_property
     def topo_order(self) -> tuple[int, ...] | None:
-        """Operator ids in dependency order, or None on a cycle."""
+        """Operator ids in dependency order, or None on a cycle or bad ids."""
         order = self._released
         return order if len(order) == len(self.operators) else None
 
@@ -276,14 +287,13 @@ class CircuitGraph:
     def _released(self) -> tuple[int, ...]:
         """Kahn's algorithm with the ready set popped in ascending id order,
         so the order does not depend on how the operators are stored.  The
-        ops on and below a cycle are never released."""
-        succs = self.op_succs
-        indeg = dict.fromkeys(succs, 0)
-        for below in succs.values():
+        ops on and below a cycle (all ops, given bad ids) are never released."""
+        succs = self.successors if self._by_id is not None else ()
+        indeg = [0] * len(succs)
+        for below in succs:
             for succ in below:
                 indeg[succ] += 1
-        ready = [oid for oid, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
+        ready = [oid for oid, d in enumerate(indeg) if d == 0]  # ascending: a heap
         order: list[int] = []
         while ready:
             oid = heapq.heappop(ready)
@@ -295,25 +305,24 @@ class CircuitGraph:
         return tuple(order)
 
     @cached_property
-    def op_heights(self) -> dict[int, int] | None:
-        """Per operator, the op count of its longest path down to a sink
+    def op_heights(self) -> tuple[int, ...] | None:
+        """At index i, the op count of op i's longest path down to a sink
         (1 for a sink), from one pass over the reversed topological
-        order; None on a cycle, as topo_order."""
+        order; None when topo_order is."""
         order = self.topo_order
         if order is None:
             return None
-        succs = self.op_succs
-        height: dict[int, int] = {}
-        get = height.__getitem__
+        succs = self.successors
+        height = [0] * len(succs)
         for oid in reversed(order):
             below = succs[oid]
-            height[oid] = 1 + max(map(get, below)) if below else 1
-        return height
+            height[oid] = 1 + max(map(height.__getitem__, below)) if below else 1
+        return tuple(height)
 
     @cached_property
     def sink_op_ids(self) -> frozenset[int]:
         """Operators none of whose results another operator consumes."""
-        return frozenset(oid for oid, succs in self.op_succs.items() if not succs)
+        return frozenset(oid for oid, succs in enumerate(self.successors) if not succs)
 
     @cached_property
     def value_types(self) -> dict[ValueId, ValueType]:
@@ -323,12 +332,8 @@ class CircuitGraph:
                 types.setdefault(r, op.kind.tag.result_type)
         return types
 
-    @cached_property
-    def _ops_by_id(self) -> dict[int, Operator]:
-        return {op.id: op for op in self.operators}
-
     def operator(self, op_id: int) -> Operator:
-        return self._ops_by_id[op_id]
+        return self._by_id[op_id]
 
     def display_name(self, vid: ValueId) -> str:
         return self.value_names.get(vid, str(vid))
@@ -490,13 +495,13 @@ def kind_attr_problems(kind: OpKind, op_id: int | None = None) -> list[Violation
 def validate(graph: CircuitGraph) -> list[Violation]:
     """Return every structural violation; an empty list means valid.
 
-    Checked: unique operator ids (duplicate-id), single definition per
-    value (double-def), function and value names that the printer can
-    write back, one value per name (name), defined operands and returns
-    (use-before-def), operand/result arity, attribute presence, shapes,
-    LUT mask and lincomb index ranges, non-negative sections, operand
-    types per dialect, and acyclicity (only when the ids are unique; the
-    violation names the smallest op id on or below a cycle).
+    Checked: operator ids in 0..n-1 (op-id) and unique (duplicate-id),
+    single definition per value (double-def), function and value names
+    that the printer can write back, one value per name (name), defined
+    operands and returns (use-before-def), operand/result arity, attribute
+    presence, shapes, LUT mask and lincomb index ranges, non-negative
+    sections, operand types per dialect, and acyclicity (only when the ids
+    are a permutation; it names the smallest op on or below a cycle).
     """
     violations: list[Violation] = []
     if not _FUNC_NAME_RE.fullmatch(graph.name):
@@ -518,11 +523,15 @@ def validate(graph: CircuitGraph) -> list[Violation]:
 
     for vid, _ in graph.arguments:
         define(vid, None)
+    n = len(graph.operators)
     op_ids: set[int] = set()
     for op in graph.operators:
-        if op.id in op_ids:
+        if not (isinstance(op.id, int) and 0 <= op.id < n):
+            violations.append(Violation("op-id", f"operator id {_shown(op.id)} not in [0, {n})", op.id))
+        elif op.id in op_ids:
             violations.append(Violation("duplicate-id", f"duplicate operator id {op.id}", op.id))
-        op_ids.add(op.id)
+        else:
+            op_ids.add(op.id)
         for r in op.results:
             define(r, op.id)
 
@@ -588,17 +597,16 @@ def validate(graph: CircuitGraph) -> list[Violation]:
                     )
                 )
 
-    if len(op_ids) == len(graph.operators) and graph.topo_order is None:
+    if graph._by_id is not None and graph.topo_order is None:
         stuck = min(op_ids.difference(graph._released))
         violations.append(Violation("cycle", "dependency cycle among operators", stuck))
     return violations
 
 
 def duplicate_id_message(graph: CircuitGraph) -> str | None:
-    """validate()'s first duplicate-id message, or None when the operator
-    ids are unique.  Repeated ids leave a graph without a topological
-    order even when it has no cycle."""
-    return next((v.message for v in validate(graph) if v.code == "duplicate-id"), None)
+    """validate()'s first op-id or duplicate-id message, or None when the
+    ids are a permutation of 0..n-1, without which there is no topo order."""
+    return next((v.message for v in validate(graph) if v.code in ("op-id", "duplicate-id")), None)
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +730,6 @@ def evaluate(graph: CircuitGraph, inputs: Mapping[ValueId, object]) -> dict[Valu
 
     if graph.topo_order is None:
         raise EvaluationError(duplicate_id_message(graph) or "cannot evaluate a cyclic graph")
-    for oid in graph.topo_order:
-        op = graph.operator(oid)
-        args = [values[v] for v in op.operands]
-        outs = _apply_op(op, args)
-        for r, val in zip(op.results, outs):
-            values[r] = val
+    for op in map(graph.operator, graph.topo_order):
+        values.update(zip(op.results, _apply_op(op, [values[v] for v in op.operands])))
     return values

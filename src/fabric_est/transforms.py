@@ -62,12 +62,12 @@ def _eliminate_dead_ops(graph: CircuitGraph) -> CircuitGraph:
     only rule that deletes operators."""
     producers = graph.producers
     live_ops: set[int] = set()
-    stack = [producers[v].id for v in graph.returns if v in producers]
+    stack = [producers[v] for v in graph.returns if v in producers]
     while stack:
-        oid = stack.pop()
-        if oid not in live_ops:
-            live_ops.add(oid)
-            stack.extend(producers[v].id for v in graph.operator(oid).operands if v in producers)
+        op = stack.pop()
+        if op.id not in live_ops:
+            live_ops.add(op.id)
+            stack.extend(producers[v] for v in op.operands if v in producers)
     kept = [op for op in graph.operators if op.id in live_ops]
     if len(kept) == len(graph.operators):
         return graph
@@ -209,18 +209,17 @@ def sectionize(
     assignment: dict[int, int] = {}
     current = 0
     current_sum = 0
-    for oid in topological_sort(graph):
-        op = graph.operator(oid)
+    for op in map(graph.operator, topological_sort(graph)):
         fcs = costs[op.kind.tag].fcs
         if fcs > capacity_fcs:
             raise TransformError(
-                f"operator exceeds section capacity: op {oid} "
+                f"operator exceeds section capacity: op {op.id} "
                 f"({op.kind.tag.opname}, {fcs} FCs > {capacity_fcs})"
             )
         if current_sum + fcs > capacity_fcs and current_sum > 0:
             current += 1
             current_sum = 0
-        assignment[oid] = current
+        assignment[op.id] = current
         current_sum += fcs
     new_ops = tuple(replace(op, section=assignment[op.id]) for op in graph.operators)
     annotated = replace(graph, operators=new_ops)

@@ -441,3 +441,103 @@ class _Lexer:
                 yield _Token(kind, m.group(), self.span_at(pos, len(m.group())))
             pos = m.end()
         yield _Token("eof", "", self.span_at(n, 1))
+
+
+# ---------------------------------------------------------------------------
+# The graph index as it was when every per-op index was a dict keyed by op
+# id: CircuitGraph.consumers, op_succs, _released and op_heights, and
+# critical_path._bfs with its parent map, each as a function of a graph
+# (or of a BFS's first ops and the op_succs dict).  Verbatim otherwise;
+# change nothing here when the library changes.
+
+
+def consumers(self: CircuitGraph) -> dict[ValueId, tuple[int, ...]]:
+    """Consuming operator ids per value, ascending and deduplicated:
+    the one edge index, filled in a single pass in id order."""
+    cons: dict[ValueId, list[int]] = {}
+    for op in sorted(self.operators, key=lambda op: op.id):
+        oid = op.id
+        for v in op.operands:
+            ids = cons.get(v)
+            if ids is None:
+                cons[v] = [oid]
+            elif ids[-1] != oid:
+                ids.append(oid)
+    return {v: tuple(ids) for v, ids in cons.items()}
+
+
+def op_succs(self: CircuitGraph) -> dict[int, tuple[int, ...]]:
+    """Consumer operator ids per operator, ascending: the consumers of
+    the results it produces.  An operator that consumes its own result
+    lists itself, so the self-use is a cycle like any other."""
+    consumers_ = consumers(self)
+    producers = self.producers
+    succs: dict[int, tuple[int, ...]] = {}
+    for op in self.operators:
+        rows = [consumers_.get(r, ()) for r in op.results if producers[r] is op]
+        succs[op.id] = rows[0] if len(rows) == 1 else tuple(sorted(set().union(*rows)))
+    return succs
+
+
+def _released(self: CircuitGraph) -> tuple[int, ...]:
+    """Kahn's algorithm with the ready set popped in ascending id order,
+    so the order does not depend on how the operators are stored.  The
+    ops on and below a cycle are never released."""
+    succs = op_succs(self)
+    indeg = dict.fromkeys(succs, 0)
+    for below in succs.values():
+        for succ in below:
+            indeg[succ] += 1
+    ready = [oid for oid, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        oid = heapq.heappop(ready)
+        order.append(oid)
+        for succ in succs[oid]:
+            indeg[succ] -= 1
+            if indeg[succ] == 0:
+                heapq.heappush(ready, succ)
+    return tuple(order)
+
+
+def op_heights(self: CircuitGraph) -> dict[int, int] | None:
+    """Per operator, the op count of its longest path down to a sink
+    (1 for a sink), from one pass over the reversed topological
+    order; None on a cycle, as topo_order."""
+    order = _released(self)
+    if len(order) != len(self.operators):
+        return None
+    succs = op_succs(self)
+    height: dict[int, int] = {}
+    get = height.__getitem__
+    for oid in reversed(order):
+        below = succs[oid]
+        height[oid] = 1 + max(map(get, below)) if below else 1
+    return height
+
+
+def _bfs(
+    first: tuple[int, ...], op_succs: dict[int, tuple[int, ...]]
+) -> tuple[int, int, dict[int, int]]:
+    """BFS from the ops `first` (depth 1, in order; neighbors ascending).
+
+    Returns the greatest depth at which it reaches a sink, the smallest
+    sink at that depth, and each reached op's parent (-1 for `first`).
+    """
+    parent = dict.fromkeys(first, -1)
+    queue = list(parent)
+    depth, level_end = 1, len(queue)
+    best_depth, best_sink = 0, -1
+    for i, oid in enumerate(queue):  # the FIFO, iterated while it grows
+        if i == level_end:
+            depth, level_end = depth + 1, len(queue)
+        succs = op_succs[oid]
+        if succs:
+            for succ in succs:
+                if succ not in parent:
+                    parent[succ] = oid
+                    queue.append(succ)
+        elif depth > best_depth or oid < best_sink:
+            best_depth, best_sink = depth, oid
+    return best_depth, best_sink, parent

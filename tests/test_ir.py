@@ -15,8 +15,15 @@ from fabric_est import (
     ParseError,
     ValueType,
     evaluate,
+    PAPER_DEFAULT_PROFILE,
+    approximate_cp,
+    load_profile,
+    longest_path_cp,
+    paper_exact_cp,
     parse,
     print_circuit,
+    sectionize,
+    topological_sort,
     validate,
 )
 from fabric_est.ir import (
@@ -204,6 +211,66 @@ class TestEdgeIndex:
         )
         g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), ops, (2,), {})
         assert g.topo_order is None
+        assert [v.code for v in validate(g)] == ["duplicate-id"]
+
+    def test_cycle_has_no_order(self):
+        # two ands that consume each other's result, with ids 0 and 1
+        ops = (
+            Operator(0, OpKind(OpTag.AND), (0, 3), (2,)),
+            Operator(1, OpKind(OpTag.AND), (0, 2), (3,)),
+        )
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), ops, (2,), {})
+        assert g.op_succs == {0: (1,), 1: (0,)}
+        assert g.topo_order is None
+        assert g.op_heights is None
+        assert [v.code for v in validate(g)] == ["cycle"]
+
+
+def two_not_chain(ids):
+    """A chain of two nots from one argument, with operator ids `ids`."""
+    ops = (
+        Operator(ids[0], OpKind(OpTag.NOT), (0,), (1,)),
+        Operator(ids[1], OpKind(OpTag.NOT), (1,), (2,)),
+    )
+    return CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), ops, (2,), {})
+
+
+# Operator ids that are not a permutation of 0..n-1, and the one violation
+# (code, op_id, message) that validate() gives for each.
+BAD_IDS = [
+    ((0, 5), ("op-id", 5, "operator id 5 not in [0, 2)")),
+    ((-1, 0), ("op-id", -1, "operator id -1 not in [0, 2)")),
+    ((0, 0), ("duplicate-id", 0, "duplicate operator id 0")),
+    ((0, "1"), ("op-id", "1", "operator id '1' not in [0, 2)")),
+]
+
+
+@pytest.mark.parametrize("ids, violation", BAD_IDS, ids=["high", "negative", "repeat", "str"])
+class TestBadOperatorIds:
+    def test_one_violation_and_no_order(self, ids, violation):
+        g = two_not_chain(ids)
+        assert [(v.code, v.op_id, v.message) for v in validate(g)] == [violation]
+        assert g.topo_order is None
+        assert g.op_heights is None
+
+    def test_order_readers_raise_with_the_message(self, ids, violation):
+        message = violation[2]
+        g = two_not_chain(ids)
+        _, costs = load_profile(PAPER_DEFAULT_PROFILE)
+        calls = [
+            topological_sort,
+            approximate_cp,
+            paper_exact_cp,
+            longest_path_cp,
+            lambda g: sectionize(g, 2048, costs),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call(g)
+            assert str(info.value) == message
+        with pytest.raises(EvaluationError) as info:
+            evaluate(g, {0: 1})
+        assert str(info.value) == message
 
 
 class TestValidate:

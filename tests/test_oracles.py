@@ -24,7 +24,7 @@ from fabric_est import (
     print_circuit,
     topological_sort,
 )
-from fabric_est import syntax
+from fabric_est import critical_path, syntax
 from fabric_est.fixtures import fixture_names, generate_from_spec
 from fabric_est.ir import BOOL_TAGS, CKKS_TAGS, TWO_INPUT_GATES
 from test_corpus import MULTI_ERROR_TEXTS
@@ -181,6 +181,49 @@ def test_single_loop_search_matches_two_loop_search(bfs_runs):
         bfs_runs.clear()
         assert_same_search(genutil.permute_operators(g, rng), bfs_runs)
         bfs_runs.clear()
+
+
+def assert_index_matches_oracle(g):
+    """The tuple indexes read by op id against the dict indexes they
+    replaced: topo_order, op_heights, sink_op_ids, the edge index and
+    each argument's BFS, parents included."""
+    succs = oracles.op_succs(g)
+    order = oracles._released(g)
+    assert g.topo_order == (order if len(order) == len(g.operators) else None)
+    heights = g.op_heights
+    assert (None if heights is None else dict(enumerate(heights))) == oracles.op_heights(g)
+    assert g.sink_op_ids == frozenset(oid for oid, below in succs.items() if not below)
+    assert g.consumers == oracles.consumers(g)
+    assert g.op_succs == succs
+    for a in g.argument_ids:
+        first = g.consumers.get(a, ())
+        depth, sink, parent = critical_path._bfs(first, g.successors)
+        want_depth, want_sink, want_parent = oracles._bfs(first, succs)
+        assert (depth, sink) == (want_depth, want_sink)
+        assert {oid: p for oid, p in enumerate(parent) if p is not None} == want_parent
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_index_fixtures(name):
+    assert_index_matches_oracle(generate_fixture(name))
+
+
+def test_index_random_graphs():
+    rng = random.Random(16057)
+    for i in range(500):
+        make = genutil.random_bool_graph if i % 2 else genutil.random_ckks_graph
+        g = make(rng, max_ops=40)
+        assert_index_matches_oracle(g)
+        assert_index_matches_oracle(genutil.permute_operators(g, rng))
+
+
+def test_index_corpus():
+    for text in genutil.mutation_corpus(seed=1, count=2000):
+        try:
+            g = parse(text)
+        except ParseError:
+            continue
+        assert_index_matches_oracle(g)
 
 
 def assert_canonicalize_matches_oracle(g):
