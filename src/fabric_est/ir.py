@@ -333,7 +333,14 @@ class CircuitGraph:
         return types
 
     def operator(self, op_id: int) -> Operator:
-        return self._by_id[op_id]
+        """Op `op_id`; KeyError for an id outside 0..n-1, and ValueError
+        with validate()'s message unless the ids are a permutation."""
+        by_id = self._by_id
+        if by_id is None:
+            raise ValueError(duplicate_id_message(self))
+        if isinstance(op_id, int) and 0 <= op_id < len(by_id):
+            return by_id[op_id]
+        raise KeyError(op_id)
 
     def display_name(self, vid: ValueId) -> str:
         return self.value_names.get(vid, str(vid))
@@ -506,34 +513,8 @@ def validate(graph: CircuitGraph) -> list[Violation]:
     violations: list[Violation] = []
     if not _FUNC_NAME_RE.fullmatch(graph.name):
         violations.append(Violation("name", f"function name @{graph.name} is not an identifier"))
-    defined: set[ValueId] = set()
-    names: set[str] = set()
-
-    def define(vid: ValueId, op_id: int | None) -> None:
-        name = graph.display_name(vid)
-        if vid in defined:
-            violations.append(Violation("double-def", f"value %{name} defined more than once", op_id))
-            return
-        defined.add(vid)
-        if not _VALUE_NAME_RE.fullmatch(name):
-            violations.append(Violation("name", f"value name %{name} is not a valid name", op_id))
-        elif name in names:
-            violations.append(Violation("name", f"value name %{name} is used more than once", op_id))
-        names.add(name)
-
-    for vid, _ in graph.arguments:
-        define(vid, None)
-    n = len(graph.operators)
-    op_ids: set[int] = set()
-    for op in graph.operators:
-        if not (isinstance(op.id, int) and 0 <= op.id < n):
-            violations.append(Violation("op-id", f"operator id {_shown(op.id)} not in [0, {n})", op.id))
-        elif op.id in op_ids:
-            violations.append(Violation("duplicate-id", f"duplicate operator id {op.id}", op.id))
-        else:
-            op_ids.add(op.id)
-        for r in op.results:
-            define(r, op.id)
+    violations += _definition_problems(graph)
+    types = graph.value_types  # every defined value
 
     for op in graph.operators:
         opname = op.kind.tag.opname
@@ -563,19 +544,18 @@ def validate(graph: CircuitGraph) -> list[Violation]:
                 )
             )
         for v in op.operands:
-            if v not in defined:
+            if v not in types:
                 violations.append(
                     Violation(
                         "use-before-def", f"use-before-def %{graph.display_name(v)}", op.id
                     )
                 )
     for v in graph.returns:
-        if v not in defined:
+        if v not in types:
             violations.append(
                 Violation("use-before-def", f"use-before-def %{graph.display_name(v)}")
             )
 
-    types = graph.value_types
     for op in graph.operators:
         tag = op.kind.tag
         opname = tag.opname
@@ -598,15 +578,51 @@ def validate(graph: CircuitGraph) -> list[Violation]:
                 )
 
     if graph._by_id is not None and graph.topo_order is None:
-        stuck = min(op_ids.difference(graph._released))
+        stuck = min(set(range(len(graph.operators))).difference(graph._released))
         violations.append(Violation("cycle", "dependency cycle among operators", stuck))
+    return violations
+
+
+def _definition_problems(graph: CircuitGraph) -> list[Violation]:
+    """validate()'s id, double-def and name checks, in definition order;
+    their sets are freed before validate() builds the graph's indexes."""
+    violations: list[Violation] = []
+    defined: set[ValueId] = set()
+    names: set[str] = set()
+
+    def define(vid: ValueId, op_id: int | None) -> None:
+        name = graph.display_name(vid)
+        if vid in defined:
+            violations.append(Violation("double-def", f"value %{name} defined more than once", op_id))
+            return
+        defined.add(vid)
+        if not _VALUE_NAME_RE.fullmatch(name):
+            violations.append(Violation("name", f"value name %{name} is not a valid name", op_id))
+        elif name in names:
+            violations.append(Violation("name", f"value name %{name} is used more than once", op_id))
+        names.add(name)
+
+    for vid, _ in graph.arguments:
+        define(vid, None)
+    n = len(graph.operators)
+    seen = bytearray(n)
+    for op in graph.operators:
+        if not (isinstance(op.id, int) and 0 <= op.id < n):
+            violations.append(Violation("op-id", f"operator id {_shown(op.id)} not in [0, {n})", op.id))
+        elif seen[op.id]:
+            violations.append(Violation("duplicate-id", f"duplicate operator id {op.id}", op.id))
+        else:
+            seen[op.id] = 1
+        for r in op.results:
+            define(r, op.id)
     return violations
 
 
 def duplicate_id_message(graph: CircuitGraph) -> str | None:
     """validate()'s first op-id or duplicate-id message, or None when the
     ids are a permutation of 0..n-1, without which there is no topo order."""
-    return next((v.message for v in validate(graph) if v.code in ("op-id", "duplicate-id")), None)
+    problems = _definition_problems(graph)
+    return next((v.message for v in problems if v.code in ("op-id", "duplicate-id")), None)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
 from .ir import (
@@ -148,40 +148,34 @@ def _tokens(text: str, diagnostics: _Diagnostics) -> Iterator[_Token]:
     yield _Token("eof", "", SourceSpan(len(line_starts), len(text) - line_starts[-1] + 1, 1))
 
 
-# ---------------------------------------------------------------------------
-# Raw parse records (built before name resolution)
-
-
-@dataclass
-class _RawOp:
-    results: list[_Token]
-    opname: _Token
-    operands: list[_Token]
-    attrs: dict[str, tuple[object, SourceSpan]]
-    type: _Token
-
-
-@dataclass
-class _RawFunc:
-    name: _Token
-    args: list[tuple[_Token, _Token]]  # value, type
-    arrow_types: list[_Token]
-    ops: list[_RawOp] = field(default_factory=list)
-    ret_operands: list[_Token] = field(default_factory=list)
-    ret_types: list[_Token] = field(default_factory=list)
-
-
 class _Abort(Exception):
     """Internal: statement-level or fatal parse abort."""
 
 
 class _Parser:
-    """Recursive descent with one token of lookahead, `cur`."""
+    """Recursive descent with one token of lookahead, `cur`, that resolves
+    names as it reads: each statement defines its results and builds its
+    Operator, whose id is the statement's index.  An operand that a later
+    statement defines waits in `pending` until the body ends.
+
+    Name-resolution faults go to their own sink, `faults`, each ranked
+    -1 (arguments and double definitions), by its statement, or past the
+    last (returns), so the cap and full() count only the lexer's and the
+    parser's diagnostics."""
 
     def __init__(self, tokens: Iterator[_Token], diagnostics: _Diagnostics):
         self.tokens = tokens
         self.cur = next(tokens)
         self.diags = diagnostics
+        self.faults: list[tuple[int, str, SourceSpan]] = []
+        self.ids: dict[str, int] = {}  # by value token text, '%' included
+        self.arguments: list[tuple[int, ValueType]] = []
+        self.operators: list[Operator | None] = []  # by statement; None until built
+        self.pending: list[tuple] = []  # build() arguments of ops with forward operands
+        # To map a validate() violation to its span: each op's name, and
+        # each attribute value by (op id, attribute name).
+        self.op_spans: list[SourceSpan] = []
+        self.attr_spans: dict[tuple[int, str], SourceSpan] = {}
 
     # -- token helpers
 
@@ -215,52 +209,61 @@ class _Parser:
 
     # -- grammar
 
-    def parse_function(self) -> _RawFunc | None:
+    def parse_function(self) -> None:
+        """Read the function; on any fault `diags` is not empty after."""
         try:
             self.expect("ident", "func", "'func'")
-            func = _RawFunc(self.expect("at", None, "function name ('@name')"), [], [])
+            self.name = self.expect("at", None, "function name ('@name')")
             self.expect("punct", "(", "'('")
             if self.at("value"):
-                func.args = self.comma_list(self.parse_arg)
+                self.comma_list(self.parse_arg)
             self.expect("punct", ")", "')'")
             self.expect("arrow", None, "'->'")
-            func.arrow_types = self.parse_typelist(stop="{")
+            self.arrow_types = self.parse_typelist(stop="{")
             self.expect("punct", "{", "'{'")
         except _Abort:
-            return None
+            return
 
         while not self.at("ident", "return") and not self.at("punct", "}"):
             if self.cur.kind == "eof" or self.diags.full():
                 self.error("expected 'return' before end of function")
-                return func
+                return
             try:
-                func.ops.append(self.parse_stmt())
+                self.parse_stmt()
             except _Abort:
                 self.resync()
         try:
             self.expect("ident", "return", "'return'")
+            self.ret_operands = []
             if self.at("value"):
-                func.ret_operands = self.comma_list(self.expect, "value", None, "a value after ','")
+                self.ret_operands = self.comma_list(self.expect, "value", None, "a value after ','")
             self.expect("punct", ":", "':' after return operands")
-            func.ret_types = self.parse_typelist(stop="}")
+            self.ret_types = self.parse_typelist(stop="}")
             self.expect("punct", "}", "'}'")
             if self.cur.kind != "eof":
                 self.error("trailing input after function body")
         except _Abort:
             pass
-        return func
 
-    def parse_arg(self) -> tuple[_Token, _Token]:
+    def parse_arg(self) -> None:
         value = self.expect("value", None, "a value after ','")
         self.expect("punct", ":", "':' after argument name")
-        return value, self.expect("type", None, "argument type")
+        ty = self.expect("type", None, "argument type")
+        vt = _TYPE_BY_SPELLING.get(ty.text)
+        if vt is None:
+            self.faults.append((-1, f"unknown type {ty.text}", ty.span))
+            vt = ValueType.LWE_CIPHERTEXT
+        self.arguments.append((self.define(value), vt))
 
     def parse_typelist(self, stop: str) -> list[_Token]:
         if self.at("punct", stop):
             return []
         return self.comma_list(self.expect, "type", None, "a type")
 
-    def parse_stmt(self) -> _RawOp:
+    def parse_stmt(self) -> None:
+        """Read one statement, define its results and build its op;
+        attribute presence and ranges, operand and result counts are left
+        to validate()."""
         results = self.comma_list(self.expect, "value", None, "a result value")
         self.expect("punct", "=", "'='")
         opname = self.expect("ident", None, "an operation name")
@@ -274,7 +277,43 @@ class _Parser:
             self.expect("punct", "}", "'}' after attributes")
         self.expect("punct", ":", "':' before the result type")
         ty = self.expect("type", None, "a result type")
-        return _RawOp(results, opname, operands, attrs, ty)
+
+        index = len(self.operators)
+        self.operators.append(None)
+        self.op_spans.append(opname.span)
+        result_ids = tuple(map(self.define, results))
+        tag = _TAG_BY_OPNAME.get(opname.text)
+        if tag is None:
+            self.faults.append((index, f"unknown operation '{opname.text}'", opname.span))
+            return
+        fields: dict[str, object] = {}
+        section = None
+        ok = True
+        for name, (value, vspan) in attrs.items():
+            self.attr_spans[index, name] = vspan
+            if name not in KIND_ATTRS and name != "section":
+                message = f"{opname.text} does not take attribute '{name}'"
+                self.faults.append((index, message, vspan))
+                ok = False
+                continue
+            problem = attr_shape_problem(name, value)
+            if problem is not None:
+                self.faults.append((index, problem, vspan))
+                ok = False
+            elif name == "section":
+                section = value
+            else:
+                fields[name] = value
+        if not ok:
+            return
+        want_type = tag.result_type.value
+        if ty.text != want_type:
+            message = f"type mismatch: {opname.text} produces {want_type}, not {ty.text}"
+            self.faults.append((index, message, ty.span))
+            ok = False
+        op = (index, operands, OpKind(tag, **fields) if ok else None, result_ids, section)
+        if not self.build(*op):
+            self.pending.append(op)
 
     def parse_attr(self, attrs: dict[str, tuple[object, SourceSpan]]) -> None:
         name_tok = self.expect("ident", None, "an attribute name")
@@ -317,149 +356,91 @@ class _Parser:
                 return
             self.advance()
 
+    # -- name resolution
 
-# ---------------------------------------------------------------------------
-# Semantic construction
-
-
-class _Builder:
-    def __init__(self, func: _RawFunc, diagnostics: _Diagnostics):
-        self.func = func
-        self.diags = diagnostics
-
-    def build(self) -> CircuitGraph | None:
-        func = self.func
-        ids: dict[str, int] = {}  # by value token text, '%' included
-        names: dict[int, str] = {}
-
-        def define(tok: _Token) -> int:
-            if tok.text in ids:
-                self.diags.add(f"value {tok.text} defined more than once", tok.span)
-                return ids[tok.text]
-            vid = ids[tok.text] = len(names)
-            names[vid] = tok.text[1:]
+    def define(self, tok: _Token) -> int:
+        vid = self.ids.get(tok.text)
+        if vid is not None:
+            self.faults.append((-1, f"value {tok.text} defined more than once", tok.span))
             return vid
+        vid = self.ids[tok.text] = len(self.ids)
+        return vid
 
-        arguments: list[tuple[int, ValueType]] = []
-        for value, ty in func.args:
-            vt = _TYPE_BY_SPELLING.get(ty.text)
-            if vt is None:
-                self.diags.add(f"unknown type {ty.text}", ty.span)
-                vt = ValueType.LWE_CIPHERTEXT
-            arguments.append((define(value), vt))
+    def build(
+        self,
+        index: int,
+        operands: list[_Token],
+        kind: OpKind | None,
+        results: tuple[int, ...],
+        section: int | None,
+    ) -> bool:
+        """Build statement `index`'s op unless `kind` is None; False while
+        an operand is not defined."""
+        vids = [self.ids.get(tok.text) for tok in operands]
+        if None in vids:
+            return False
+        if kind is not None:
+            self.operators[index] = Operator(index, kind, tuple(vids), results, section)
+        return True
 
-        # Pass one: define every result so forward references resolve.
-        for raw in func.ops:
-            for tok in raw.results:
-                define(tok)
+    def undefined(self, rank: int, tokens: list[_Token]) -> None:
+        """A use-before-def fault at each of `tokens` that names no value."""
+        for tok in tokens:
+            if tok.text not in self.ids:
+                self.faults.append((rank, f"use-before-def {tok.text}", tok.span))
 
-        operators: list[Operator] = []
-        op_raws: list[_RawOp] = []  # op_raws[i] parsed to the op with id i
-        for raw in func.ops:
-            op = self.build_op(raw, ids, len(operators))
-            if op is not None:
-                operators.append(op)
-                op_raws.append(raw)
-
-        returns: list[int] = []
-        for tok in func.ret_operands:
-            vid = ids.get(tok.text)
-            if vid is None:
-                self.diags.add(f"use-before-def {tok.text}", tok.span)
-            else:
-                returns.append(vid)
-
+    def graph(self) -> CircuitGraph | None:
+        """Once the body is read: resolve the forward operands and the
+        returns, then check the graph.  None when `diags` is not empty."""
+        for index, operands, *rest in self.pending:
+            if not self.build(index, operands, *rest):
+                self.undefined(index, operands)
+        self.undefined(len(self.operators), self.ret_operands)
+        for _, message, span in sorted(self.faults, key=lambda fault: fault[0]):
+            self.diags.add(message, span)
         if self.diags:
             return None
+        returns = tuple(self.ids[tok.text] for tok in self.ret_operands)
+        names = {vid: text[1:] for text, vid in self.ids.items()}
         graph = CircuitGraph(
-            func.name.text[1:], tuple(arguments), tuple(operators), tuple(returns), names
+            self.name.text[1:], tuple(self.arguments), tuple(self.operators), returns, names
         )
+        del self.ids, self.pending, names  # free before validate() builds the indexes
         self.check_return_types(graph)
         if self.diags:
             return None
         for violation in validate(graph):
             # At the attribute's value, else the op name, else the function name.
-            span = func.name.span
-            if violation.op_id is not None:
-                raw = op_raws[violation.op_id]
-                attr = raw.attrs.get(violation.attr)
-                span = attr[1] if attr is not None else raw.opname.span
+            oid = violation.op_id
+            span = self.name.span
+            if oid is not None:
+                span = self.attr_spans.get((oid, violation.attr), self.op_spans[oid])
             self.diags.add(violation.message, span)
         if self.diags:
             return None
         return graph
 
-    def build_op(self, raw: _RawOp, ids: dict[str, int], op_id: int) -> Operator | None:
-        """Resolve one statement; attribute presence and ranges, operand
-        and result counts are left to validate()."""
-        opname = raw.opname.text
-        tag = _TAG_BY_OPNAME.get(opname)
-        if tag is None:
-            self.diags.add(f"unknown operation '{opname}'", raw.opname.span)
-            return None
-
-        fields: dict[str, object] = {}
-        section = None
-        ok = True
-        for name, (value, vspan) in raw.attrs.items():
-            if name not in KIND_ATTRS and name != "section":
-                self.diags.add(f"{opname} does not take attribute '{name}'", vspan)
-                ok = False
-                continue
-            problem = attr_shape_problem(name, value)
-            if problem is not None:
-                self.diags.add(problem, vspan)
-                ok = False
-            elif name == "section":
-                section = value
-            else:
-                fields[name] = value
-        if not ok:
-            return None
-
-        want_type = tag.result_type.value
-        if raw.type.text != want_type:
-            self.diags.add(
-                f"type mismatch: {opname} produces {want_type}, not {raw.type.text}",
-                raw.type.span,
-            )
-            ok = False
-
-        operands: list[int] = []
-        for tok in raw.operands:
-            vid = ids.get(tok.text)
-            if vid is None:
-                self.diags.add(f"use-before-def {tok.text}", tok.span)
-                ok = False
-            else:
-                operands.append(vid)
-        if not ok:
-            return None
-        results = tuple(ids[tok.text] for tok in raw.results)
-        return Operator(op_id, OpKind(tag, **fields), tuple(operands), results, section)
-
     def check_return_types(self, graph: CircuitGraph) -> None:
-        func = self.func
         types = graph.value_types
         actual = [types[v].value for v in graph.returns]
-        if len(func.ret_types) != len(actual):
-            span = func.ret_types[0].span if func.ret_types else func.name.span
+        if len(self.ret_types) != len(actual):
+            span = self.ret_types[0].span if self.ret_types else self.name.span
             self.diags.add(
-                f"return lists {len(func.ret_types)} types for {len(actual)} values", span
+                f"return lists {len(self.ret_types)} types for {len(actual)} values", span
             )
             return
-        for want, got in zip(actual, func.ret_types):
+        for want, got in zip(actual, self.ret_types):
             if got.text != want:
                 self.diags.add(
                     f"return type mismatch: value has type {want}, not {got.text}", got.span
                 )
-        if len(func.arrow_types) != len(actual):
+        if len(self.arrow_types) != len(actual):
             self.diags.add(
-                f"function signature declares {len(func.arrow_types)} results, returns {len(actual)}",
-                func.name.span,
+                f"function signature declares {len(self.arrow_types)} results, returns {len(actual)}",
+                self.name.span,
             )
             return
-        for want, got in zip(actual, func.arrow_types):
+        for want, got in zip(actual, self.arrow_types):
             if got.text != want:
                 self.diags.add(
                     f"declared result type {got.text} does not match returned {want}", got.span
@@ -470,14 +451,14 @@ def parse(text: str) -> CircuitGraph:
     """Parse one function; raise ParseError with diagnostics on failure."""
     diagnostics = _Diagnostics()
     tokens = _tokens(text, diagnostics)
-    func = _Parser(tokens, diagnostics).parse_function()
+    parser = _Parser(tokens, diagnostics)
+    parser.parse_function()
     for _ in tokens:  # the lexer's diagnostics past where the parser stopped
         pass
-    if func is not None and not diagnostics:
-        graph = _Builder(func, diagnostics).build()
-        if graph is not None:
-            return graph
-    raise ParseError(diagnostics)
+    graph = None if diagnostics else parser.graph()
+    if graph is None:
+        raise ParseError(diagnostics)
+    return graph
 
 
 # ---------------------------------------------------------------------------

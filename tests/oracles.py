@@ -541,3 +541,325 @@ def _bfs(
         elif depth > best_depth or oid < best_sink:
             best_depth, best_sink = depth, oid
     return best_depth, best_sink, parent
+
+
+# ---------------------------------------------------------------------------
+# The parser as it was before it resolved names as it read: a verbatim copy
+# of syntax._RawOp, _RawFunc, _Parser and _Builder, which kept one raw
+# record of tokens per statement and built the graph from them in two more
+# passes.  Change nothing here when the library changes.
+
+import sys
+from dataclasses import dataclass, field
+from typing import Callable, TypeVar
+
+from fabric_est.ir import KIND_ATTRS, ValueType, attr_shape_problem, validate
+from fabric_est.syntax import _TAG_BY_OPNAME, _TYPE_BY_SPELLING, _Abort
+
+_T = TypeVar("_T")
+
+
+@dataclass
+class _RawOp:
+    results: list[_Token]
+    opname: _Token
+    operands: list[_Token]
+    attrs: dict[str, tuple[object, SourceSpan]]
+    type: _Token
+
+
+@dataclass
+class _RawFunc:
+    name: _Token
+    args: list[tuple[_Token, _Token]]  # value, type
+    arrow_types: list[_Token]
+    ops: list[_RawOp] = field(default_factory=list)
+    ret_operands: list[_Token] = field(default_factory=list)
+    ret_types: list[_Token] = field(default_factory=list)
+
+
+class _Parser:
+    """Recursive descent with one token of lookahead, `cur`."""
+
+    def __init__(self, tokens: Iterator[_Token], diagnostics: _Diagnostics):
+        self.tokens = tokens
+        self.cur = next(tokens)
+        self.diags = diagnostics
+
+    # -- token helpers
+
+    def at(self, kind: str, text: str | None = None) -> bool:
+        t = self.cur
+        return t.kind == kind and (text is None or t.text == text)
+
+    def advance(self) -> _Token:
+        t = self.cur
+        if t.kind != "eof":
+            self.cur = next(self.tokens)
+        return t
+
+    def error(self, message: str, span: SourceSpan | None = None) -> None:
+        self.diags.add(message, span or self.cur.span)
+
+    def expect(self, kind: str, text: str | None, what: str) -> _Token:
+        if self.at(kind, text):
+            return self.advance()
+        got = self.cur.text or "end of input"
+        self.error(f"expected {what}, found {got!r}")
+        raise _Abort()
+
+    def comma_list(self, item: Callable[..., _T], *args: object) -> list[_T]:
+        """`item { "," item }`, each parsed by `item(*args)`."""
+        items = [item(*args)]
+        while self.at("punct", ","):
+            self.advance()
+            items.append(item(*args))
+        return items
+
+    # -- grammar
+
+    def parse_function(self) -> _RawFunc | None:
+        try:
+            self.expect("ident", "func", "'func'")
+            func = _RawFunc(self.expect("at", None, "function name ('@name')"), [], [])
+            self.expect("punct", "(", "'('")
+            if self.at("value"):
+                func.args = self.comma_list(self.parse_arg)
+            self.expect("punct", ")", "')'")
+            self.expect("arrow", None, "'->'")
+            func.arrow_types = self.parse_typelist(stop="{")
+            self.expect("punct", "{", "'{'")
+        except _Abort:
+            return None
+
+        while not self.at("ident", "return") and not self.at("punct", "}"):
+            if self.cur.kind == "eof" or self.diags.full():
+                self.error("expected 'return' before end of function")
+                return func
+            try:
+                func.ops.append(self.parse_stmt())
+            except _Abort:
+                self.resync()
+        try:
+            self.expect("ident", "return", "'return'")
+            if self.at("value"):
+                func.ret_operands = self.comma_list(self.expect, "value", None, "a value after ','")
+            self.expect("punct", ":", "':' after return operands")
+            func.ret_types = self.parse_typelist(stop="}")
+            self.expect("punct", "}", "'}'")
+            if self.cur.kind != "eof":
+                self.error("trailing input after function body")
+        except _Abort:
+            pass
+        return func
+
+    def parse_arg(self) -> tuple[_Token, _Token]:
+        value = self.expect("value", None, "a value after ','")
+        self.expect("punct", ":", "':' after argument name")
+        return value, self.expect("type", None, "argument type")
+
+    def parse_typelist(self, stop: str) -> list[_Token]:
+        if self.at("punct", stop):
+            return []
+        return self.comma_list(self.expect, "type", None, "a type")
+
+    def parse_stmt(self) -> _RawOp:
+        results = self.comma_list(self.expect, "value", None, "a result value")
+        self.expect("punct", "=", "'='")
+        opname = self.expect("ident", None, "an operation name")
+        operands = []
+        if self.at("value"):
+            operands = self.comma_list(self.expect, "value", None, "a value after ','")
+        attrs: dict[str, tuple[object, SourceSpan]] = {}
+        if self.at("punct", "{"):
+            self.advance()
+            self.comma_list(self.parse_attr, attrs)
+            self.expect("punct", "}", "'}' after attributes")
+        self.expect("punct", ":", "':' before the result type")
+        ty = self.expect("type", None, "a result type")
+        return _RawOp(results, opname, operands, attrs, ty)
+
+    def parse_attr(self, attrs: dict[str, tuple[object, SourceSpan]]) -> None:
+        name_tok = self.expect("ident", None, "an attribute name")
+        self.expect("punct", "=", "'=' in attribute")
+        value, vspan = self.parse_attrval()
+        if name_tok.text in attrs:
+            self.error(f"duplicate attribute '{name_tok.text}'", name_tok.span)
+        else:
+            attrs[name_tok.text] = (value, vspan)
+
+    def integer(self, what: str) -> tuple[int, SourceSpan]:
+        """An integer literal; one longer than int() reads is an error at
+        its span."""
+        tok = self.expect("int", None, what)
+        try:
+            return int(tok.text), tok.span
+        except ValueError:  # past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            self.error(f"integer literal has more than {limit} digits", tok.span)
+            raise _Abort() from None
+
+    def parse_attrval(self) -> tuple[object, SourceSpan]:
+        if self.at("int"):
+            return self.integer("an integer")
+        if self.at("punct", "["):
+            open_tok = self.advance()
+            items = self.comma_list(self.integer, "an integer in the list")
+            close = self.expect("punct", "]", "']'")
+            length = close.span.column - open_tok.span.column + close.span.length
+            span = SourceSpan(open_tok.span.line, open_tok.span.column, max(length, 1))
+            return tuple(value for value, _ in items), span
+        self.error("expected an integer or integer list")
+        raise _Abort()
+
+    def resync(self) -> None:
+        """After a bad statement, skip to the next plausible boundary."""
+        self.advance()
+        while self.cur.kind != "eof":
+            if self.at("value") or self.at("ident", "return") or self.at("punct", "}"):
+                return
+            self.advance()
+
+
+class _Builder:
+    def __init__(self, func: _RawFunc, diagnostics: _Diagnostics):
+        self.func = func
+        self.diags = diagnostics
+
+    def build(self) -> CircuitGraph | None:
+        func = self.func
+        ids: dict[str, int] = {}  # by value token text, '%' included
+        names: dict[int, str] = {}
+
+        def define(tok: _Token) -> int:
+            if tok.text in ids:
+                self.diags.add(f"value {tok.text} defined more than once", tok.span)
+                return ids[tok.text]
+            vid = ids[tok.text] = len(names)
+            names[vid] = tok.text[1:]
+            return vid
+
+        arguments: list[tuple[int, ValueType]] = []
+        for value, ty in func.args:
+            vt = _TYPE_BY_SPELLING.get(ty.text)
+            if vt is None:
+                self.diags.add(f"unknown type {ty.text}", ty.span)
+                vt = ValueType.LWE_CIPHERTEXT
+            arguments.append((define(value), vt))
+
+        # Pass one: define every result so forward references resolve.
+        for raw in func.ops:
+            for tok in raw.results:
+                define(tok)
+
+        operators: list[Operator] = []
+        op_raws: list[_RawOp] = []  # op_raws[i] parsed to the op with id i
+        for raw in func.ops:
+            op = self.build_op(raw, ids, len(operators))
+            if op is not None:
+                operators.append(op)
+                op_raws.append(raw)
+
+        returns: list[int] = []
+        for tok in func.ret_operands:
+            vid = ids.get(tok.text)
+            if vid is None:
+                self.diags.add(f"use-before-def {tok.text}", tok.span)
+            else:
+                returns.append(vid)
+
+        if self.diags:
+            return None
+        graph = CircuitGraph(
+            func.name.text[1:], tuple(arguments), tuple(operators), tuple(returns), names
+        )
+        self.check_return_types(graph)
+        if self.diags:
+            return None
+        for violation in validate(graph):
+            # At the attribute's value, else the op name, else the function name.
+            span = func.name.span
+            if violation.op_id is not None:
+                raw = op_raws[violation.op_id]
+                attr = raw.attrs.get(violation.attr)
+                span = attr[1] if attr is not None else raw.opname.span
+            self.diags.add(violation.message, span)
+        if self.diags:
+            return None
+        return graph
+
+    def build_op(self, raw: _RawOp, ids: dict[str, int], op_id: int) -> Operator | None:
+        """Resolve one statement; attribute presence and ranges, operand
+        and result counts are left to validate()."""
+        opname = raw.opname.text
+        tag = _TAG_BY_OPNAME.get(opname)
+        if tag is None:
+            self.diags.add(f"unknown operation '{opname}'", raw.opname.span)
+            return None
+
+        fields: dict[str, object] = {}
+        section = None
+        ok = True
+        for name, (value, vspan) in raw.attrs.items():
+            if name not in KIND_ATTRS and name != "section":
+                self.diags.add(f"{opname} does not take attribute '{name}'", vspan)
+                ok = False
+                continue
+            problem = attr_shape_problem(name, value)
+            if problem is not None:
+                self.diags.add(problem, vspan)
+                ok = False
+            elif name == "section":
+                section = value
+            else:
+                fields[name] = value
+        if not ok:
+            return None
+
+        want_type = tag.result_type.value
+        if raw.type.text != want_type:
+            self.diags.add(
+                f"type mismatch: {opname} produces {want_type}, not {raw.type.text}",
+                raw.type.span,
+            )
+            ok = False
+
+        operands: list[int] = []
+        for tok in raw.operands:
+            vid = ids.get(tok.text)
+            if vid is None:
+                self.diags.add(f"use-before-def {tok.text}", tok.span)
+                ok = False
+            else:
+                operands.append(vid)
+        if not ok:
+            return None
+        results = tuple(ids[tok.text] for tok in raw.results)
+        return Operator(op_id, OpKind(tag, **fields), tuple(operands), results, section)
+
+    def check_return_types(self, graph: CircuitGraph) -> None:
+        func = self.func
+        types = graph.value_types
+        actual = [types[v].value for v in graph.returns]
+        if len(func.ret_types) != len(actual):
+            span = func.ret_types[0].span if func.ret_types else func.name.span
+            self.diags.add(
+                f"return lists {len(func.ret_types)} types for {len(actual)} values", span
+            )
+            return
+        for want, got in zip(actual, func.ret_types):
+            if got.text != want:
+                self.diags.add(
+                    f"return type mismatch: value has type {want}, not {got.text}", got.span
+                )
+        if len(func.arrow_types) != len(actual):
+            self.diags.add(
+                f"function signature declares {len(func.arrow_types)} results, returns {len(actual)}",
+                func.name.span,
+            )
+            return
+        for want, got in zip(actual, func.arrow_types):
+            if got.text != want:
+                self.diags.add(
+                    f"declared result type {got.text} does not match returned {want}", got.span
+                )

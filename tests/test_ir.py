@@ -272,6 +272,42 @@ class TestBadOperatorIds:
             evaluate(g, {0: 1})
         assert str(info.value) == message
 
+    def test_operator_raises_with_the_message(self, ids, violation):
+        g = two_not_chain(ids)
+        for op_id in (0, 1, -1, 2):
+            with pytest.raises(ValueError) as info:
+                g.operator(op_id)
+            assert str(info.value) == violation[2]
+
+
+class TestOperatorLookup:
+    def test_every_id_reads_its_op(self):
+        g = two_not_chain((1, 0))
+        assert [g.operator(i) for i in range(2)] == sorted(g.operators, key=lambda op: op.id)
+
+    @pytest.mark.parametrize("op_id", [-1, -2, 2, 3, "0", None])
+    def test_id_outside_the_range_is_a_key_error(self, op_id):
+        g = two_not_chain((0, 1))
+        with pytest.raises(KeyError):
+            g.operator(op_id)
+
+    def test_fixture_ids_minus_one_and_n(self):
+        from fabric_est import generate_fixture
+
+        g = generate_fixture("full-adder")
+        assert g.operator(len(g.operators) - 1).id == len(g.operators) - 1
+        for op_id in (-1, len(g.operators)):
+            with pytest.raises(KeyError):
+                g.operator(op_id)
+
+    def test_shifted_ids_raise_a_value_error(self):
+        # ids 1..n: no op 0, and op n is past the range
+        g = two_not_chain((1, 2))
+        for op_id in (0, 1, 2, -1):
+            with pytest.raises(ValueError) as info:
+                g.operator(op_id)
+            assert str(info.value) == "operator id 2 not in [0, 2)"
+
 
 class TestValidate:
     def test_fixtures_are_valid(self):

@@ -420,3 +420,65 @@ def test_lexer_random_strings():
         for _ in range(rng.randrange(3)):
             parts.insert(rng.randrange(len(parts) + 1), rng.choice(_LEX_PIECES))
         assert_lexes_like_oracle("".join(parts))
+
+
+def oracle_parse(text):
+    """parse() as it was: the raw records, then the two-pass builder."""
+    diagnostics = syntax._Diagnostics()
+    tokens = syntax._tokens(text, diagnostics)
+    func = oracles._Parser(tokens, diagnostics).parse_function()
+    for _ in tokens:
+        pass
+    if func is not None and not diagnostics:
+        graph = oracles._Builder(func, diagnostics).build()
+        if graph is not None:
+            return graph
+    raise ParseError(diagnostics)
+
+
+def parse_outcome(parse_, text):
+    """The graph's parts, or the diagnostics when the text fails."""
+    try:
+        g = parse_(text)
+    except ParseError as exc:
+        return exc.diagnostics
+    return g.name, g.arguments, g.operators, g.returns, g.value_names
+
+
+def assert_parses_like_oracle(text):
+    assert parse_outcome(parse, text) == parse_outcome(oracle_parse, text), text
+
+
+def shuffled_statements(text, rng):
+    """A printed function with its statements in random order, so that
+    some operands name values that later statements define."""
+    lines = text.splitlines(keepends=True)
+    body = lines[1:-2]  # between the header and the return line
+    rng.shuffle(body)
+    return "".join([lines[0], *body, *lines[-2:]])
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_parser_fixture_texts(name):
+    text = print_circuit(generate_fixture(name))
+    assert_parses_like_oracle(text)
+    rng = random.Random(name)
+    for _ in range(3):
+        assert_parses_like_oracle(shuffled_statements(text, rng))
+
+
+def test_parser_corpus_and_error_texts():
+    for text in genutil.mutation_corpus(seed=1, count=2000):
+        assert_parses_like_oracle(text)
+    for text in MULTI_ERROR_TEXTS:
+        assert_parses_like_oracle(text)
+
+
+def test_parser_permuted_random_graphs():
+    rng = random.Random(17)
+    for i in range(300):
+        if i % 2:
+            g = genutil.random_bool_graph(rng, max_ops=30, with_sections=i % 4 == 1)
+        else:
+            g = genutil.random_ckks_graph(rng, max_ops=20)
+        assert_parses_like_oracle(print_circuit(genutil.permute_operators(g, rng)))

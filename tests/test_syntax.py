@@ -494,3 +494,82 @@ class TestDiagnostics:
             "func @f(%a: !lwe) -> !lwe {\n  return %a : !lwe\n}\nfunc",
             "trailing input",
         )
+
+
+def test_parse_peaks_within_one_and_a_half_graphs():
+    # tracemalloc's peak during parse against what the graph keeps
+    text = print_circuit(generate_fixture("array-mult", 16))
+    parse(text)  # first-call caches are not the parse's
+    tracemalloc.start()
+    try:
+        g = parse(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(g.operators) == 1408
+    assert peak <= 1.5 * kept, (peak, kept)
+
+
+class TestDiagnosticOrder:
+    """Name-resolution diagnostics: argument and double-definition ones
+    first, then each statement's in statement order (a use-before-def
+    after its statement's attribute and type ones), then the returns'."""
+
+    @staticmethod
+    def located(text):
+        return [(d.message, d.span.line, d.span.column) for d in diags_of(text)]
+
+    def test_double_definition_before_an_earlier_unknown_op(self):
+        text = (
+            "func @f(%a: !lwe) -> !lwe {\n"
+            "  %0 = scifr_bool.not %a : !lwe\n"
+            "  %1 = scifr_bool.frob %0 : !lwe\n"
+            "  %2 = scifr_bool.not %1 : !lwe\n"
+            "  %3 = scifr_bool.not %2 : !lwe\n"
+            "  %1 = scifr_bool.not %3 : !lwe\n"
+            "  return %3 : !lwe\n}\n"
+        )
+        assert self.located(text) == [
+            ("value %1 defined more than once", 6, 3),
+            ("unknown operation 'scifr_bool.frob'", 3, 8),
+        ]
+
+    def test_use_before_def_keeps_its_statement_place(self):
+        # %b is defined by a later statement; %zz and %yy by none
+        text = (
+            "func @f(%a: !lwe) -> !lwe {\n"
+            "  %0 = scifr_bool.and %b, %zz : !lwe\n"
+            "  %b = scifr_bool.not %a : !lwe\n"
+            "  %2 = scifr_bool.and %0, %yy : !ct\n"
+            "  return %2, %xx : !lwe\n}\n"
+        )
+        assert self.located(text) == [
+            ("use-before-def %zz", 2, 27),
+            ("type mismatch: scifr_bool.and produces !lwe, not !ct", 4, 33),
+            ("use-before-def %yy", 4, 27),
+            ("use-before-def %xx", 5, 14),
+        ]
+
+    def test_first_twenty_kept_in_order(self):
+        lines = [
+            f"  %v{i} = scifr_bool.frob %a : !lwe" if i % 2
+            else f"  %v{i} = scifr_bool.and %a, %u{i} : !lwe"
+            for i in range(30)
+        ]
+        text = "func @f(%a: !lwe) -> !lwe {\n" + "\n".join(lines) + "\n  return %a : !lwe\n}\n"
+        want = [
+            ("unknown operation 'scifr_bool.frob'", i + 2, 8 + len(str(i))) if i % 2
+            else (f"use-before-def %u{i}", i + 2, 27 + len(str(i)))
+            for i in range(20)
+        ]
+        assert self.located(text) == want
+
+    def test_parser_error_hides_name_resolution(self):
+        text = (
+            "func @f(%a: !lwe, %a: !weird) -> !lwe {\n"
+            "  %0 = scifr_bool.frob %a : !lwe\n"
+            "  %1 = : !lwe\n"
+            "  %0 = scifr_bool.not %zz : !ct\n"
+            "  return %q : !lwe\n}\n"
+        )
+        assert self.located(text) == [("expected an operation name, found ':'", 3, 8)]
