@@ -22,7 +22,6 @@ from .cost import (
 )
 from .critical_path import Method, compute, throughput
 from .fixtures import FixtureError, generate_fixture, parse_fixture_spec
-from .ir import CircuitGraph
 from .report import RunManifest, emit_report
 from .syntax import ParseError, parse, print_circuit
 from .transforms import TransformError, canonicalize, lower_gates, sectionize
@@ -88,19 +87,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
+class _Failure(Exception):
+    """A failure the driver finds itself; main reports it like a library error."""
 
 
-def _check_dialect(graph: CircuitGraph, flag: str, dialect: str, label: str) -> str | None:
-    for op in graph.operators:
-        if op.kind.tag.dialect != dialect:
-            return (
-                f"{flag}: graph uses non-{label} op"
-                f" '{op.kind.tag.opname}' (op {op.id})"
-            )
-    return None
+# The dialect each estimate flag requires: its spelling, dialect and label.
+_DIALECTS = {
+    "cggi_estimate": ("--cggi-estimate", "bool", "Boolean"),
+    "ckks_estimate": ("--ckks-estimate", "ckks", "CKKS"),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -128,108 +123,103 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.config is not None:
-            config, costs = load_config(Path(args.config))
-            config_label = args.config
-        else:
-            config_label = args.profile or PAPER_DEFAULT_PROFILE
-            config, costs = load_profile(config_label)
-    except ConfigError as exc:
-        return _fail(str(exc))
+        _run(args)
+    except ParseError as exc:
+        for d in exc.diagnostics:
+            print(
+                f"{args.input}:{d.span.line}:{d.span.column}:"
+                f" error: {d.message}",
+                file=sys.stderr,
+            )
+        return 1
+    except (FixtureError, ConfigError, TransformError, _Failure) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, FixtureError) else 1  # a bad fixture is a usage error
+    return 0
+
+
+def _run(args: argparse.Namespace) -> None:
+    """Load the config, get the graph, run the passes in flag order, then
+    the estimate, critical paths and throughput, and write the output."""
+    if args.config is not None:
+        config, costs = load_config(Path(args.config))
+        config_label = args.config
+    else:
+        config_label = args.profile or PAPER_DEFAULT_PROFILE
+        config, costs = load_profile(config_label)
 
     if args.fixture:
-        try:
-            name, param = parse_fixture_spec(args.fixture)
-            graph = generate_fixture(name, param)
-        except FixtureError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        name, param = parse_fixture_spec(args.fixture)
+        graph = generate_fixture(name, param)
         if args.output:
             try:
                 Path(args.output).write_text(print_circuit(graph))
             except OSError as exc:
-                return _fail(f"cannot write '{args.output}': {exc}")
-        input_label = f"fixture:{args.fixture}"
+                raise _Failure(f"cannot write '{args.output}': {exc}") from exc
     else:
         try:
             text = Path(args.input).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            return _fail(f"cannot read '{args.input}': {exc}")
-        try:
-            graph = parse(text)
-        except ParseError as exc:
-            for d in exc.diagnostics:
-                print(
-                    f"{args.input}:{d.span.line}:{d.span.column}:"
-                    f" error: {d.message}",
-                    file=sys.stderr,
-                )
-            return 1
-        input_label = args.input
+            raise _Failure(f"cannot read '{args.input}': {exc}") from exc
+        graph = parse(text)
 
-    try:
-        for name in args.passes:
-            if name == "lower-gates":
-                graph = lower_gates(graph)
-            elif name == "canonicalize":
-                graph = canonicalize(graph)
-            else:
-                capacity = (
-                    args.capacity
-                    if args.capacity is not None
-                    else config.usable_fcs_per_chip
-                )
-                graph, _plan = sectionize(graph, capacity, costs)
-    except TransformError as exc:
-        return _fail(str(exc))
+    for name in args.passes:
+        if name == "lower-gates":
+            graph = lower_gates(graph)
+        elif name == "canonicalize":
+            graph = canonicalize(graph)
+        else:
+            capacity = (
+                args.capacity
+                if args.capacity is not None
+                else config.usable_fcs_per_chip
+            )
+            graph, _plan = sectionize(graph, capacity, costs)
 
     resources = None
+    for dest, (flag, dialect, label) in _DIALECTS.items():
+        if getattr(args, dest):
+            bad = next((op for op in graph.operators if op.kind.tag.dialect != dialect), None)
+            if bad is not None:
+                raise _Failure(
+                    f"{flag}: graph uses non-{label} op"
+                    f" '{bad.kind.tag.opname}' (op {bad.id})"
+                )
+            resources = estimate(graph, config, costs)
     # --method requires --critical-path, so a chosen method is also the
     # one throughput reads.
     method = None if args.method in (None, "all") else Method(args.method)
     cp_results: tuple = ()
+    if args.critical_path:
+        selected = list(Method) if method is None else [method]
+        cp_results = tuple(
+            compute(graph, m, config.unit_time_per_gate) for m in selected
+        )
     tp = None
-    try:
-        if args.cggi_estimate or args.ckks_estimate:
-            if args.cggi_estimate:
-                problem = _check_dialect(graph, "--cggi-estimate", "bool", "Boolean")
-            else:
-                problem = _check_dialect(graph, "--ckks-estimate", "ckks", "CKKS")
-            if problem is not None:
-                return _fail(problem)
-            resources = estimate(graph, config, costs)
-        if args.critical_path:
-            selected = list(Method) if method is None else [method]
-            cp_results = tuple(
-                compute(graph, m, config.unit_time_per_gate) for m in selected
-            )
-        if args.throughput:
-            tp_method = method or Method.LONGEST_PATH
-            cached = next((c for c in cp_results if c.method is tp_method), None)
-            depth = (
-                cached.depth
-                if cached is not None
-                else compute(graph, tp_method, config.unit_time_per_gate).depth
-            )
-            try:
-                tp = (args.batch, throughput(depth, args.batch, config), tp_method)
-            except ValueError as exc:
-                return _fail(str(exc))
-    except ConfigError as exc:  # a number too large to report
-        return _fail(str(exc))
+    if args.throughput:
+        tp_method = method or Method.LONGEST_PATH
+        cached = next((c for c in cp_results if c.method is tp_method), None)
+        depth = (
+            cached.depth
+            if cached is not None
+            else compute(graph, tp_method, config.unit_time_per_gate).depth
+        )
+        try:
+            tp = (args.batch, throughput(depth, args.batch, config), tp_method)
+        except ValueError as exc:
+            raise _Failure(str(exc)) from exc
 
     if args.print_ir:
         sys.stdout.write(print_circuit(graph))
 
     manifest = RunManifest(
-        input=input_label,
+        input=args.input or f"fixture:{args.fixture}",
         passes=tuple(args.passes),
         config=config_label,
         format=args.emit,
         exit_status=0,
     )
     sys.stdout.write(emit_report(manifest, resources, cp_results, tp))
-    return 0
 
 
 if __name__ == "__main__":

@@ -241,15 +241,18 @@ class CircuitGraph:
     @cached_property
     def _by_id(self) -> tuple[Operator, ...] | None:
         """Op i at index i, or None unless the ids are a permutation."""
-        by_id = {op.id: op for op in self.operators if isinstance(op.id, int)}
-        ops = tuple(map(by_id.get, range(len(self.operators))))
-        return ops if all(ops) else None
+        ops: list[Operator | None] = [None] * len(self.operators)
+        for op in self.operators:
+            if not (isinstance(op.id, int) and 0 <= op.id < len(ops)) or ops[op.id] is not None:
+                return None
+            ops[op.id] = op
+        return tuple(ops)
 
     @cached_property
     def consumers(self) -> dict[ValueId, tuple[int, ...]]:
         """Consuming operator ids per value, ascending and deduplicated: the
         one edge index, filled in one pass in id order (else storage order)."""
-        cons: dict[ValueId, list[int]] = {}
+        cons: dict[ValueId, list[int] | tuple[int, ...]] = {}
         for op in self._by_id or self.operators:
             oid = op.id
             for v in op.operands:
@@ -258,7 +261,9 @@ class CircuitGraph:
                     cons[v] = [oid]
                 elif ids[-1] != oid:
                     ids.append(oid)
-        return {v: tuple(ids) for v, ids in cons.items()}
+        for v, ids in cons.items():
+            cons[v] = tuple(ids)
+        return cons
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:

@@ -84,26 +84,26 @@ def _eliminate_dead_ops(graph: CircuitGraph) -> CircuitGraph:
 def _eliminate_double_negation(graph: CircuitGraph) -> CircuitGraph:
     """Rewire consumers of Not(Not(x)) to x; the Nots die separately."""
     producers = graph.producers
-    repl: dict[ValueId, ValueId] = {}
+    pairs: dict[int, tuple[ValueId, ValueId]] = {}
     for op in graph.operators:
         if op.kind.tag is not OpTag.NOT:
             continue
         inner = producers.get(op.operands[0])
         if inner is not None and inner.kind.tag is OpTag.NOT:
-            repl[op.results[0]] = inner.operands[0]
-    if not repl:
+            pairs[op.id] = (op.results[0], inner.operands[0])
+    if not pairs:
         return graph
-
-    def resolve(v: ValueId) -> ValueId:
-        while v in repl:
-            v = repl[v]
-        return v
+    repl: dict[ValueId, ValueId] = {}
+    for oid in topological_sort(graph):  # x's own replacement is final by then
+        if oid in pairs:
+            r, x = pairs[oid]
+            repl[r] = repl.get(x, x)
 
     new_ops = [
-        replace(op, operands=tuple(resolve(v) for v in op.operands))
+        replace(op, operands=tuple(repl.get(v, v) for v in op.operands))
         for op in graph.operators
     ]
-    new_returns = tuple(resolve(v) for v in graph.returns)
+    new_returns = tuple(repl.get(v, v) for v in graph.returns)
     return replace(graph, operators=tuple(new_ops), returns=new_returns)
 
 
@@ -175,8 +175,10 @@ def canonicalize(graph: CircuitGraph) -> CircuitGraph:
     dead-op elimination deletes operators: the other two rewire, and
     what they leave unused goes at the start of the next round.  Never
     increases the operator count and preserves evaluate() semantics on
-    the returned values.
+    the returned values.  Raises topological_sort's ValueError on a
+    graph with no topological order.
     """
+    topological_sort(graph)
     while True:
         g = _eliminate_dead_ops(graph)
         graph = _fuse_single_use_gates(_eliminate_double_negation(g))

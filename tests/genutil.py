@@ -71,6 +71,21 @@ def permute_operators(g: CircuitGraph, rng: random.Random) -> CircuitGraph:
     return replace(g, operators=tuple(ops))
 
 
+def not_chain(n: int, tap: int | None = None) -> CircuitGraph:
+    """n Nots in a chain from one argument, the last one returned; with
+    `tap`, the result of Not `tap` also feeds an xor with the last."""
+    b = GraphBuilder("chain")
+    v = b.argument(ValueType.LWE_CIPHERTEXT)
+    results = []
+    for _ in range(n):
+        v = b.op(OpKind(OpTag.NOT), v)
+        results.append(v)
+    if tap is not None:
+        v = b.op(OpKind(OpTag.XOR), results[tap], v)
+    b.ret(v)
+    return b.build()
+
+
 def _pick(rng: random.Random, pool):
     return pool[rng.randrange(len(pool))]
 

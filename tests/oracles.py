@@ -863,3 +863,171 @@ class _Builder:
                 self.diags.add(
                     f"declared result type {got.text} does not match returned {want}", got.span
                 )
+
+
+# ---------------------------------------------------------------------------
+# The CLI driver as it was when each stage caught and printed its own
+# errors: cli.main, _fail and _check_dialect.  Verbatim but for the
+# imports; change nothing here when the library changes.  `canonicalize`
+# in this module is the oracle above, so a test that compares this main
+# with the library's points it at fabric_est.canonicalize.
+
+from pathlib import Path
+
+from fabric_est.cli import _build_parser
+from fabric_est.cost import (
+    ConfigError,
+    PAPER_DEFAULT_PROFILE,
+    estimate,
+    load_config,
+    load_profile,
+)
+from fabric_est.critical_path import compute, throughput
+from fabric_est.fixtures import FixtureError, generate_fixture, parse_fixture_spec
+from fabric_est.report import RunManifest, emit_report
+from fabric_est.syntax import ParseError, parse, print_circuit
+from fabric_est.transforms import TransformError, lower_gates, sectionize
+
+
+def _fail(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def _check_dialect(graph: CircuitGraph, flag: str, dialect: str, label: str) -> str | None:
+    for op in graph.operators:
+        if op.kind.tag.dialect != dialect:
+            return (
+                f"{flag}: graph uses non-{label} op"
+                f" '{op.kind.tag.opname}' (op {op.id})"
+            )
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+
+        if args.input and args.fixture:
+            parser.error("give either an input file or --fixture, not both")
+        if not args.input and not args.fixture:
+            parser.error("an input file or --fixture is required")
+        if args.output and not args.fixture:
+            parser.error("-o/--output requires --fixture")
+        if args.capacity is not None and "sectionize" not in args.passes:
+            parser.error("--capacity requires --sectionize")
+        if args.method is not None and not args.critical_path:
+            parser.error("--method requires --critical-path")
+        if args.throughput and args.batch is None:
+            parser.error("--throughput requires --batch")
+        if args.batch is not None and not args.throughput:
+            parser.error("--batch requires --throughput")
+        if args.cggi_estimate and args.ckks_estimate:
+            parser.error("--cggi-estimate and --ckks-estimate are exclusive")
+    except SystemExit as exc:
+        return int(exc.code or 0)
+
+    try:
+        if args.config is not None:
+            config, costs = load_config(Path(args.config))
+            config_label = args.config
+        else:
+            config_label = args.profile or PAPER_DEFAULT_PROFILE
+            config, costs = load_profile(config_label)
+    except ConfigError as exc:
+        return _fail(str(exc))
+
+    if args.fixture:
+        try:
+            name, param = parse_fixture_spec(args.fixture)
+            graph = generate_fixture(name, param)
+        except FixtureError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if args.output:
+            try:
+                Path(args.output).write_text(print_circuit(graph))
+            except OSError as exc:
+                return _fail(f"cannot write '{args.output}': {exc}")
+        input_label = f"fixture:{args.fixture}"
+    else:
+        try:
+            text = Path(args.input).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            return _fail(f"cannot read '{args.input}': {exc}")
+        try:
+            graph = parse(text)
+        except ParseError as exc:
+            for d in exc.diagnostics:
+                print(
+                    f"{args.input}:{d.span.line}:{d.span.column}:"
+                    f" error: {d.message}",
+                    file=sys.stderr,
+                )
+            return 1
+        input_label = args.input
+
+    try:
+        for name in args.passes:
+            if name == "lower-gates":
+                graph = lower_gates(graph)
+            elif name == "canonicalize":
+                graph = canonicalize(graph)
+            else:
+                capacity = (
+                    args.capacity
+                    if args.capacity is not None
+                    else config.usable_fcs_per_chip
+                )
+                graph, _plan = sectionize(graph, capacity, costs)
+    except TransformError as exc:
+        return _fail(str(exc))
+
+    resources = None
+    # --method requires --critical-path, so a chosen method is also the
+    # one throughput reads.
+    method = None if args.method in (None, "all") else Method(args.method)
+    cp_results: tuple = ()
+    tp = None
+    try:
+        if args.cggi_estimate or args.ckks_estimate:
+            if args.cggi_estimate:
+                problem = _check_dialect(graph, "--cggi-estimate", "bool", "Boolean")
+            else:
+                problem = _check_dialect(graph, "--ckks-estimate", "ckks", "CKKS")
+            if problem is not None:
+                return _fail(problem)
+            resources = estimate(graph, config, costs)
+        if args.critical_path:
+            selected = list(Method) if method is None else [method]
+            cp_results = tuple(
+                compute(graph, m, config.unit_time_per_gate) for m in selected
+            )
+        if args.throughput:
+            tp_method = method or Method.LONGEST_PATH
+            cached = next((c for c in cp_results if c.method is tp_method), None)
+            depth = (
+                cached.depth
+                if cached is not None
+                else compute(graph, tp_method, config.unit_time_per_gate).depth
+            )
+            try:
+                tp = (args.batch, throughput(depth, args.batch, config), tp_method)
+            except ValueError as exc:
+                return _fail(str(exc))
+    except ConfigError as exc:  # a number too large to report
+        return _fail(str(exc))
+
+    if args.print_ir:
+        sys.stdout.write(print_circuit(graph))
+
+    manifest = RunManifest(
+        input=input_label,
+        passes=tuple(args.passes),
+        config=config_label,
+        format=args.emit,
+        exit_status=0,
+    )
+    sys.stdout.write(emit_report(manifest, resources, cp_results, tp))
+    return 0

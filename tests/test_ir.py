@@ -1,6 +1,8 @@
 """Core IR: tags, kinds, builder, validation, evaluation."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,6 +28,7 @@ from fabric_est import (
     topological_sort,
     validate,
 )
+from fabric_est.fixtures import generate_from_spec
 from fabric_est.ir import (
     BOOL_TAGS,
     CKKS_TAGS,
@@ -278,6 +281,25 @@ class TestBadOperatorIds:
             with pytest.raises(ValueError) as info:
                 g.operator(op_id)
             assert str(info.value) == violation[2]
+
+
+def test_indexes_build_without_transient_copies():
+    """_by_id and consumers fill their own containers: building both
+    allocates no more on the way than the two indexes keep."""
+    g = generate_from_spec("array-mult:16")
+    gc.collect()  # so that no collection of earlier garbage falls in the window
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g._by_id, g.consumers
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    kept = current - before
+    assert kept > 0
+    assert peak - current <= kept, (peak - current, kept)
 
 
 class TestOperatorLookup:

@@ -2,6 +2,7 @@
 methods that read it, canonicalize and the lexer against the verbatim
 oracles in oracles.py."""
 
+import json
 import random
 import tracemalloc
 
@@ -24,9 +25,10 @@ from fabric_est import (
     print_circuit,
     topological_sort,
 )
-from fabric_est import critical_path, syntax
+from fabric_est import cli, critical_path, syntax
 from fabric_est.fixtures import fixture_names, generate_from_spec
 from fabric_est.ir import BOOL_TAGS, CKKS_TAGS, TWO_INPUT_GATES
+import test_cli
 from test_corpus import MULTI_ERROR_TEXTS
 
 NOT = OpKind(OpTag.NOT)
@@ -246,6 +248,13 @@ def test_canonicalize_fixtures_before_lowering(spec):
     g = generate_from_spec(spec)
     assert_canonicalize_matches_oracle(g)
     assert_canonicalize_matches_oracle(genutil.permute_operators(g, random.Random(spec)))
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 999, 1000])
+def test_canonicalize_not_chains(n):
+    assert_canonicalize_matches_oracle(genutil.not_chain(n))
+    for tap in (0, n // 2, n - 1):
+        assert_canonicalize_matches_oracle(genutil.not_chain(n, tap))
 
 
 def test_canonicalize_corpus():
@@ -482,3 +491,117 @@ def test_parser_permuted_random_graphs():
         else:
             g = genutil.random_ckks_graph(rng, max_ops=20)
         assert_parses_like_oracle(print_circuit(genutil.permute_operators(g, rng)))
+
+
+# The CLI driver against the old main in oracles.py: the same exit code,
+# stdout and stderr, byte for byte, and the same -o file.
+
+CLI_SPECS = (*fixture_names(), "ripple-adder:0", "nope", "ckks-simple-sum:3", "array-mult(3)")
+
+USAGE_ERRORS = (
+    *test_cli.TestUsageErrors.test_exit_2.pytestmark[0].args[1],
+    ["--fixture", "nope", "--cggi-estimate"],
+    ["--fixture", "ripple-adder:x"],
+    ["--fixture", "ripple-adder:" + "9" * 5000, "--cggi-estimate"],
+)
+
+PASSES = ["--lower-gates", "--canonicalize", "--sectionize"]
+REPORT = ["--cggi-estimate", "--critical-path", "--throughput", "--batch", "5", "--print-ir"]
+
+
+def cli_flag_sets(tmp_path):
+    """Every flag set the fixtures run under; writes the configs it names."""
+    configs = {
+        "good.json": json.dumps(test_cli.make_config_doc(fcs_per_chip=1000, occupancy=1)),
+        "malformed.json": "{not json",
+        "overflow.json": json.dumps(test_cli.make_config_doc(unit_time_per_gate=1e308)),
+        "float.json": json.dumps(test_cli.make_config_doc(fcs_per_chip=10**400)),
+    }
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text)
+    yield ["--cggi-estimate"]
+    yield ["--ckks-estimate", "--emit", "json"]
+    yield ["--critical-path"]
+    for method in ("approx", "paper-exact", "longest", "all"):
+        yield ["--critical-path", "--method", method, "--emit", "json"]
+    for batch in ("0", "5"):
+        yield ["--throughput", "--batch", batch]
+        yield ["--critical-path", "--method", "approx", "--throughput", "--batch", batch]
+    yield [*PASSES, "--print-ir"]
+    yield [*reversed(PASSES), "--print-ir", "--emit", "json"]
+    for capacity in (["--capacity", "0"], ["--capacity", "1"], []):
+        yield ["--sectionize", *capacity, "--print-ir"]
+    for name in (*configs, "missing.json"):
+        yield [*REPORT, "--config", str(tmp_path / name)]
+    yield [*REPORT, "--profile", "paper-default", "--emit", "json"]
+    yield ["-o", str(tmp_path / "out.scifr")]
+    yield ["-o", str(tmp_path / "no-dir" / "out.scifr")]
+
+
+def assert_cli_matches_oracle(argv, capsys, written=None):
+    runs = []
+    for main in (oracles.main, cli.main):
+        if written is not None:
+            written.unlink(missing_ok=True)
+        code = main(list(argv))
+        out = capsys.readouterr()
+        wrote = written.read_bytes() if written is not None and written.exists() else None
+        runs.append((code, out.out, out.err, wrote))
+    assert runs[0] == runs[1], argv
+
+
+@pytest.fixture
+def library_canonicalize(monkeypatch):
+    """Point the old main at the library's canonicalize, not the oracle's."""
+    monkeypatch.setattr(oracles, "canonicalize", canonicalize)
+
+
+@pytest.mark.usefixtures("library_canonicalize")
+def test_cli_usage_errors(capsys):
+    for argv in USAGE_ERRORS:
+        assert_cli_matches_oracle(argv, capsys)
+
+
+@pytest.mark.usefixtures("library_canonicalize")
+@pytest.mark.parametrize("spec", CLI_SPECS)
+def test_cli_fixtures(spec, tmp_path, capsys):
+    for flags in cli_flag_sets(tmp_path):
+        assert_cli_matches_oracle(["--fixture", spec, *flags], capsys, tmp_path / "out.scifr")
+
+
+FILE_FLAG_SETS = (
+    [],
+    ["--cggi-estimate", "--critical-path"],
+    ["--ckks-estimate", "--throughput", "--batch", "5"],
+    [*PASSES, "--print-ir", "--emit", "json"],
+)
+
+CYCLIC_TEXT = (
+    "func @f(%a: !lwe) -> !lwe {\n"
+    "  %b = scifr_bool.and %c, %a : !lwe\n"
+    "  %c = scifr_bool.not %b : !lwe\n"
+    "  return %c : !lwe\n"
+    "}\n"
+)
+
+
+def cli_input_files(tmp_path):
+    """Each fixture's printed text, a cyclic text, a missing file, a file
+    that is not UTF-8, the multi-error texts and 60 mutated texts."""
+    texts = [print_circuit(generate_fixture(name)).encode() for name in fixture_names()]
+    texts.append(CYCLIC_TEXT.encode())
+    texts.append(texts[0] + b"\xff")
+    texts.extend(text.encode() for text in MULTI_ERROR_TEXTS)
+    texts.extend(text.encode() for text in genutil.mutation_corpus(seed=7, count=60))
+    for i, data in enumerate(texts):
+        path = tmp_path / f"c{i}.scifr"
+        path.write_bytes(data)
+        yield path
+    yield tmp_path / "missing.scifr"
+
+
+@pytest.mark.usefixtures("library_canonicalize")
+def test_cli_files(tmp_path, capsys):
+    for path in cli_input_files(tmp_path):
+        for flags in FILE_FLAG_SETS:
+            assert_cli_matches_oracle([str(path), *flags], capsys)

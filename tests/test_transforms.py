@@ -2,14 +2,19 @@
 
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
 
 import genutil
+import test_ir
 from fabric_est import (
+    CircuitGraph,
     GraphBuilder,
     OpKind,
+    Operator,
     OpTag,
     TransformError,
     ValueType,
@@ -184,6 +189,60 @@ class TestCanonicalizeDoubleNegation:
         g = canonicalize(b.build())
         assert [op.kind.tag for op in g.operators] == [OpTag.NOT]
         assert g.operators[0].operands == (0,)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, a call still running after `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+class TestCanonicalizeOrder:
+    def test_long_not_chain_is_linear(self):
+        # Resolving each Not-of-Not along the chain is O(n) in all; one
+        # link at a time it was O(n**2), about 30 s at this length.
+        g = genutil.not_chain(40_000)
+        with time_limit(10):
+            out = canonicalize(g)
+        assert out.operators == ()
+        assert out.returns == g.argument_ids
+
+    def test_not_cycle_raises(self):
+        ops = (
+            Operator(0, OpKind(OpTag.NOT), (2,), (1,)),
+            Operator(1, OpKind(OpTag.NOT), (1,), (2,)),
+        )
+        g = CircuitGraph("f", ((0, LWE),), ops, (2,), {})
+        assert [v.code for v in validate(g)] == ["cycle"]
+        with time_limit(5), pytest.raises(ValueError, match="^graph contains a dependency cycle$"):
+            canonicalize(g)
+
+    def test_cycle_without_a_not_pair_raises(self):
+        # No Not feeds a Not, so no rule needs the order; the entry check does.
+        ops = (
+            Operator(0, OpKind(OpTag.AND), (0, 2), (1,)),
+            Operator(1, OpKind(OpTag.NOT), (1,), (2,)),
+        )
+        g = CircuitGraph("f", ((0, LWE),), ops, (1,), {})
+        with pytest.raises(ValueError, match="^graph contains a dependency cycle$"):
+            canonicalize(g)
+
+    @pytest.mark.parametrize("ids, violation", test_ir.BAD_IDS, ids=["high", "negative", "repeat", "str"])
+    def test_bad_ids_raise_with_the_message(self, ids, violation):
+        with time_limit(5), pytest.raises(ValueError) as info:
+            canonicalize(test_ir.two_not_chain(ids))
+        assert str(info.value) == violation[2]
 
 
 class TestCanonicalizeFusion:
