@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import NamedTuple
 
-from .ir import CircuitGraph, duplicate_id_message
+from .ir import CircuitGraph, topological_sort
 from .cost import FabricConfig, reportable
 
 
@@ -54,16 +54,6 @@ class CriticalPathResult:
 class ThroughputResult(NamedTuple):
     latency_unit_time: float
     outputs_per_batch_window: int
-
-
-def topological_sort(graph: CircuitGraph) -> list[int]:
-    """Operator ids in dependency order (Kahn's algorithm; the ready set
-    is popped in ascending operator id order).  Raises ValueError on a
-    cyclic graph or ids that are not a permutation of 0..n-1, which
-    validate() reports beforehand."""
-    if graph.topo_order is None:
-        raise ValueError(duplicate_id_message(graph) or "graph contains a dependency cycle")
-    return list(graph.topo_order)
 
 
 def _heights(graph: CircuitGraph) -> tuple[int, ...]:

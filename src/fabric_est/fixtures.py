@@ -92,9 +92,9 @@ def build_ripple_adder(n: int) -> CircuitGraph:
 
 def build_array_mult(n: int) -> CircuitGraph:
     """n x n array multiplier; returns the 2n product bits least-significant
-    first.  Columns are reduced carry-save style with adder cells; the top
-    column never overflows (the product fits in 2n bits), so it is folded
-    with Xor gates alone."""
+    first.  Columns are reduced carry-save style with adder cells; column
+    2n-2 starts with at most three values, so the top column gets at most
+    one carry and needs no cell."""
     if n < 1:
         raise FixtureError("array-mult width must be at least 1")
     b = GraphBuilder(f"array_mult{n}")
@@ -125,9 +125,8 @@ def build_array_mult(n: int) -> CircuitGraph:
     if not top:
         # n == 1: bit 2n-1 is always zero; Xor of a value with itself.
         top.append(_xor(b, bits[0], bits[0]))
-    while len(top) >= 2:
-        top[:2] = [_xor(b, top[0], top[1])]
-    bits.append(top[0])
+    (high,) = top
+    bits.append(high)
 
     b.ret(*bits)
     return b.build()

@@ -125,11 +125,6 @@ def attr_shape_problem(name: str, value: object) -> str | None:
     return None
 
 
-def lut_mask_bound(arity: int) -> int:
-    """Exclusive upper bound for a LUT mask over `arity` inputs."""
-    return 1 << (1 << arity)
-
-
 def _pow2_text(exp: int) -> str:
     """2**exp in a message: decimal up to 2**64, else written `2**exp`,
     so that no message builds or prints a huge integer."""
@@ -137,7 +132,7 @@ def _pow2_text(exp: int) -> str:
 
 
 def _mask_bound_text(arity: int) -> str:
-    """lut_mask_bound(arity) in a message, written as by _pow2_text."""
+    """The LUT mask bound 2**(2**arity) in a message, as by _pow2_text."""
     return _pow2_text(1 << arity) if arity <= 64 else f"2**(2**{arity})"
 
 
@@ -209,7 +204,8 @@ class CircuitGraph:
 
     Operator ids are a permutation of 0..n-1 and storage order is free;
     each per-op index (successors, op_heights) is a tuple read by id.
-    validate() checks the ids, SSA single definition and acyclicity.
+    validate() checks the ids, SSA single definition and acyclicity; on
+    other ids the edge index raises ValueError with its first id message.
     `value_names` holds the printed names; a missing one reads the id.
     """
 
@@ -248,12 +244,18 @@ class CircuitGraph:
             ops[op.id] = op
         return tuple(ops)
 
+    def _ops(self) -> tuple[Operator, ...]:
+        """_by_id, else ValueError with validate()'s first id message."""
+        if self._by_id is None:
+            raise ValueError(duplicate_id_message(self))
+        return self._by_id
+
     @cached_property
     def consumers(self) -> dict[ValueId, tuple[int, ...]]:
         """Consuming operator ids per value, ascending and deduplicated: the
-        one edge index, filled in one pass in id order (else storage order)."""
+        one edge index, filled in one pass in id order."""
         cons: dict[ValueId, list[int] | tuple[int, ...]] = {}
-        for op in self._by_id or self.operators:
+        for op in self._ops():
             oid = op.id
             for v in op.operands:
                 ids = cons.get(v)
@@ -272,7 +274,7 @@ class CircuitGraph:
         consumers = self.consumers
         producers = self.producers
         succs: list[tuple[int, ...]] = []
-        for op in self._by_id or self.operators:
+        for op in self._ops():
             rows = [consumers.get(r, ()) for r in op.results if producers[r] is op]
             succs.append(rows[0] if len(rows) == 1 else tuple(sorted(set().union(*rows))))
         return tuple(succs)
@@ -340,9 +342,7 @@ class CircuitGraph:
     def operator(self, op_id: int) -> Operator:
         """Op `op_id`; KeyError for an id outside 0..n-1, and ValueError
         with validate()'s message unless the ids are a permutation."""
-        by_id = self._by_id
-        if by_id is None:
-            raise ValueError(duplicate_id_message(self))
+        by_id = self._ops()
         if isinstance(op_id, int) and 0 <= op_id < len(by_id):
             return by_id[op_id]
         raise KeyError(op_id)
@@ -628,6 +628,14 @@ def duplicate_id_message(graph: CircuitGraph) -> str | None:
     ids are a permutation of 0..n-1, without which there is no topo order."""
     problems = _definition_problems(graph)
     return next((v.message for v in problems if v.code in ("op-id", "duplicate-id")), None)
+
+
+def topological_sort(graph: CircuitGraph) -> list[int]:
+    """graph.topo_order as a list.  Raises ValueError on a cycle or ids
+    that are not a permutation of 0..n-1, which validate() reports."""
+    if graph.topo_order is None:
+        raise ValueError(duplicate_id_message(graph) or "graph contains a dependency cycle")
+    return list(graph.topo_order)
 
 
 # ---------------------------------------------------------------------------

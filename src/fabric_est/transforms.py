@@ -23,9 +23,9 @@ from .ir import (
     ValueId,
     gate_output,
     lut_form,
+    topological_sort,
 )
 from .cost import CostTable
-from .critical_path import topological_sort
 
 
 class TransformError(Exception):

@@ -33,6 +33,18 @@ def test_tier1_job_runs_the_roadmap_command():
     assert (None, "python -m pip install pytest pyyaml") in runs
 
 
+def test_coverage_job_runs_the_statement_gate():
+    job = jobs()["coverage"]
+    (python,) = [step["with"]["python-version"] for step in job["steps"] if "with" in step]
+    assert python == "3.13"
+    runs = [step["run"] for step in job["steps"] if "run" in step]
+    gate = tier1_command().replace(
+        "python -m pytest -q --continue-on-collection-errors", "python tests/statement_coverage.py"
+    )
+    assert runs == ["python -m pip install pytest pyyaml", gate]
+    assert gate != tier1_command()
+
+
 def test_bench_smoke_runs_every_workload():
     matrix = jobs()["bench-smoke"]["strategy"]["matrix"]
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))

@@ -246,6 +246,13 @@ class TestLoadConfig:
             load_config(json.dumps(doc))
         assert str(info.value) == "unknown op tag 'frob'"
 
+    def test_cost_entry_must_be_an_object(self):
+        doc = make_config_doc()
+        doc["costs"]["and"] = 256
+        with pytest.raises(ConfigError) as info:
+            load_config(json.dumps(doc))
+        assert str(info.value) == "cost for op 'and' must be an object"
+
     @pytest.mark.parametrize("occ", [0, 0.0, -0.5, 1.5])
     def test_occupancy_range(self, occ):
         with pytest.raises(ConfigError) as info:

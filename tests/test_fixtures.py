@@ -233,6 +233,17 @@ class TestCkksFixtures:
         want = sum(x * w for x, w in zip(xs, ws))
         assert all(abs(slot - want) <= 1e-9 for slot in out)
 
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 12])
+    def test_dot_product_odd_tree_levels(self, n):
+        # a length that is not a power of two leaves one term over at a level
+        rng = random.Random(n)
+        g = build_ckks_dot_product(n)
+        xs = genutil.rand_vec(rng, 16)
+        ws = genutil.rand_vec(rng, 16)
+        args = [vid for vid, _ in g.arguments]
+        out = evaluate(g, {args[0]: xs, args[1]: ws})[g.returns[0]]
+        assert abs(out[0] - sum(x * w for x, w in zip(xs[:n], ws[:n]))) <= 1e-9
+
     def test_dot_product_width_one(self):
         g = build_ckks_dot_product(1)
         args = [vid for vid, _ in g.arguments]

@@ -34,7 +34,6 @@ from fabric_est.ir import (
     CKKS_TAGS,
     TWO_INPUT_GATES,
     gate_output,
-    lut_mask_bound,
 )
 
 
@@ -62,11 +61,6 @@ class TestTags:
         for tag in CKKS_TAGS:
             assert tag.result_type is ValueType.CKKS_CIPHERTEXT
 
-    def test_lut_mask_bound(self):
-        assert lut_mask_bound(1) == 4
-        assert lut_mask_bound(2) == 16
-        assert lut_mask_bound(3) == 256
-
 
 class TestOpKind:
     def test_arity(self):
@@ -89,6 +83,17 @@ class TestOpKind:
         assert k.coeffs == (1, 2)
         assert isinstance(k.coeffs, tuple)
 
+    def test_luts_normalized_to_tuple(self):
+        k = OpKind(OpTag.MULTI_LUT_LINCOMB, coeffs=(1,), luts=[1, 2])
+        assert k.luts == (1, 2)
+        assert isinstance(k.luts, tuple)
+        assert k.num_results == 2
+
+    def test_operator_operands_and_results_become_tuples(self):
+        op = Operator(0, OpKind(OpTag.AND), [0, 1], iter([2]))
+        assert op.operands == (0, 1)
+        assert op.results == (2,)
+
     def test_attrs_dict(self):
         k = OpKind(OpTag.LUT_LINCOMB, coeffs=(1, 2), lut=6)
         assert k.attrs() == {"coeffs": (1, 2), "lut": 6}
@@ -110,6 +115,33 @@ class TestBuilder:
         b.argument(ValueType.LWE_CIPHERTEXT, name="x")
         with pytest.raises(ValueError):
             b.argument(ValueType.LWE_CIPHERTEXT, name="x")
+
+    def test_default_result_name_skips_a_taken_name(self):
+        b = GraphBuilder("f")
+        a = b.argument(ValueType.LWE_CIPHERTEXT, name="0")
+        r = b.op(OpKind(OpTag.NOT), a)
+        b.ret(b.op(OpKind(OpTag.NOT), r))
+        g = b.build()
+        names = [g.display_name(v) for v in (a, r, *g.returns)]
+        assert names[0] == "0"
+        assert len(set(names)) == 3
+        assert validate(g) == []
+
+    def test_op_rejects_a_multi_result_kind(self):
+        b = GraphBuilder("f")
+        a = b.argument(ValueType.LWE_CIPHERTEXT)
+        kind = OpKind(OpTag.MULTI_LUT_LINCOMB, coeffs=(1,), luts=(1, 2))
+        with pytest.raises(ValueError, match="^scifr_bool.multi_lut_lincomb is not single-result$"):
+            b.op(kind, a)
+
+    def test_multi_op_needs_luts(self):
+        b = GraphBuilder("f")
+        a = b.argument(ValueType.LWE_CIPHERTEXT)
+        kind = OpKind(OpTag.MULTI_LUT_LINCOMB, coeffs=(1,))
+        with pytest.raises(
+            ValueError, match="^scifr_bool.multi_lut_lincomb has underspecified attributes$"
+        ):
+            b.multi_op(kind, a)
 
     def test_graph_accessors(self):
         b = GraphBuilder("f")
@@ -275,6 +307,22 @@ class TestBadOperatorIds:
             evaluate(g, {0: 1})
         assert str(info.value) == message
 
+    def test_index_reads_raise_with_the_message(self, ids, violation):
+        readers = [
+            lambda g: g.consumers,
+            lambda g: g.successors,
+            lambda g: g.sink_op_ids,
+            topological_sort,
+            approximate_cp,
+            paper_exact_cp,
+            longest_path_cp,
+        ]
+        for read in readers:
+            g = two_not_chain(ids)  # fresh, so no reader finds another's cache
+            with pytest.raises(ValueError) as info:
+                read(g)
+            assert str(info.value) == violation[2]
+
     def test_operator_raises_with_the_message(self, ids, violation):
         g = two_not_chain(ids)
         for op_id in (0, 1, -1, 2):
@@ -354,6 +402,13 @@ class TestValidate:
         assert codes(v) == {"use-before-def"}
         assert "use-before-def %99" in v[0].message
 
+    def test_return_before_def(self):
+        op = Operator(0, OpKind(OpTag.NOT), (0,), (1,))
+        g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op,), (1, 99), {})
+        assert [(v.code, v.message, v.op_id) for v in validate(g)] == [
+            ("use-before-def", "use-before-def %99", None)
+        ]
+
     def test_double_def(self):
         op1 = Operator(0, OpKind(OpTag.NOT), (0,), (2,))
         op2 = Operator(1, OpKind(OpTag.NOT), (0,), (2,))
@@ -402,6 +457,19 @@ class TestValidate:
         v = [x for x in validate(self._one_op_graph(op)) if x.code == "lut-range"]
         assert (v == []) == ok
         assert all(x.attr == "coeffs" for x in v)
+
+    @pytest.mark.parametrize(
+        "kind, results, attr",
+        [
+            (OpKind(OpTag.LUT_LINCOMB, coeffs=(), lut=1), (2,), "coeffs"),
+            (OpKind(OpTag.MULTI_LUT_LINCOMB, coeffs=(1, 2), luts=()), (), "luts"),
+        ],
+    )
+    def test_empty_list_attribute(self, kind, results, attr):
+        args = ((0, ValueType.LWE_CIPHERTEXT), (1, ValueType.LWE_CIPHERTEXT))
+        g = CircuitGraph("f", args, (Operator(0, kind, (0, 1), results),), (0,), {})
+        message = f"{kind.tag.opname} requires a non-empty '{attr}'"
+        assert [(v.code, v.message, v.attr) for v in validate(g)] == [("attr", message, attr)]
 
     def test_multi_lut_mask_range(self):
         kind = OpKind(OpTag.MULTI_LUT_LINCOMB, coeffs=(1, 2), luts=(3, 16))
@@ -668,6 +736,16 @@ class TestEvaluateBool:
             evaluate(g, {x: 2, y: 0})
         with pytest.raises(EvaluationError, match="got a value of type int$"):
             evaluate(g, {x: 10**5000, y: 0})  # too long for repr
+
+    def test_bool_inputs_are_bits(self):
+        b = GraphBuilder("g")
+        x = b.argument(ValueType.LWE_CIPHERTEXT)
+        y = b.argument(ValueType.LWE_CIPHERTEXT)
+        b.ret(b.op(OpKind(OpTag.OR), x, y))
+        g = b.build()
+        env = evaluate(g, {x: True, y: False})
+        assert env == evaluate(g, {x: 1, y: 0})
+        assert type(env[x]) is int and type(env[y]) is int
 
     def test_non_topological_order_evaluates(self):
         rng = random.Random(11)
