@@ -15,8 +15,8 @@ Three methods ship side by side:
 * ``longest_path_cp`` - exact DAG longest path by operator count, from
   one height per op and a single walk; the reference circuit depth.
 
-paper-exact and longest both read the height table cached on the graph
-(``CircuitGraph.op_heights``), so a run of both computes it once.
+All three read the graph's one ``Topology``; paper-exact and longest
+share its heights, so a run of both computes them once.
 
 All methods use fixed id-ordered tie-breaking, so results are
 deterministic across runs.  Reported depth counts compute operators
@@ -57,11 +57,12 @@ class ThroughputResult(NamedTuple):
 
 
 def _heights(graph: CircuitGraph) -> tuple[int, ...]:
-    """graph.op_heights; the ValueError of topological_sort when the
-    graph has no topological order."""
-    if graph.op_heights is None:
+    """The Topology's heights; the ValueError of topological_sort when
+    the graph has no topological order."""
+    heights = graph.topology.heights
+    if heights is None:
         topological_sort(graph)  # raises
-    return graph.op_heights
+    return heights
 
 
 def _result(method: Method, ops: list[int], unit_time: float) -> CriticalPathResult:
@@ -73,7 +74,7 @@ def approximate_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
     """The non-sink operators in topological order: every op of a
     longest path except its final sink, hence longest depth <=
     approximate depth + 1."""
-    sinks = graph.sink_op_ids
+    sinks = graph.topology.sinks
     ops = [oid for oid in topological_sort(graph) if oid not in sinks]
     return _result(Method.APPROXIMATE, ops, unit_time)
 
@@ -121,8 +122,9 @@ def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
     argument.
     """
     height = _heights(graph)
-    succs = graph.successors
-    first = [graph.consumers.get(a, ()) for a in graph.argument_ids]
+    topology = graph.topology
+    succs = topology.successors
+    first = [topology.consumers.get(a, ()) for a in graph.argument_ids]
     bound = [max([height[c] for c in ops], default=0) for ops in first]
     depth = 0
     best: tuple[int, int, list[int | None]] | None = None  # argument index, sink, parents
@@ -146,10 +148,10 @@ def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
 def longest_path_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathResult:
     """Exact maximum-op-count source-to-sink path; ties pick the
     lexicographically smallest op-id sequence.  The walk starts at the
-    smallest op of greatest height (CircuitGraph.op_heights) and steps
-    to the smallest successor one height lower."""
+    smallest op of greatest height (Topology.heights) and steps to the
+    smallest successor one height lower."""
     height = _heights(graph)
-    succs = graph.successors
+    succs = graph.topology.successors
     ops: list[int] = []
     node = height.index(max(height)) if height else None
     while node is not None:

@@ -253,7 +253,7 @@ def fixture_names() -> list[str]:
     return sorted(_FIXTURES)
 
 
-_SPEC_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*?)(?::(\d+)|\((\d+)\))?$")
+_SPEC_RE = re.compile(r"^([A-Za-z][A-Za-z0-9-]*?)(?::([0-9]+)|\(([0-9]+)\))?$")
 
 
 def parse_fixture_spec(spec: str) -> tuple[str, int | None]:

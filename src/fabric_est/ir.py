@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum, unique
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -199,14 +199,74 @@ class Operator:
 
 
 @dataclass(frozen=True, eq=False)
+class Topology:
+    """The edges of one graph as op ids, ints only: the ascending,
+    deduplicated consuming op ids per value, and at index i the ascending
+    ids of the ops that consume op i's results (an op that consumes its
+    own result lists itself, a cycle).  Kahn's order, the heights and the
+    sinks derive from them on first read.  CircuitGraph.topology builds
+    one per edge set, and with_same_edges hands it on."""
+
+    consumers: dict[ValueId, tuple[int, ...]]
+    successors: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def released(self) -> tuple[int, ...]:
+        """Kahn's algorithm with the ready set popped in ascending id order,
+        so the order does not depend on how the operators are stored.  The
+        ops on and below a cycle are never released."""
+        succs = self.successors
+        indeg = [0] * len(succs)
+        for below in succs:
+            for succ in below:
+                indeg[succ] += 1
+        ready = [oid for oid, d in enumerate(indeg) if d == 0]  # ascending: a heap
+        order: list[int] = []
+        while ready:
+            oid = heapq.heappop(ready)
+            order.append(oid)
+            for succ in succs[oid]:
+                indeg[succ] -= 1
+                if indeg[succ] == 0:
+                    heapq.heappush(ready, succ)
+        return tuple(order)
+
+    @cached_property
+    def order(self) -> tuple[int, ...] | None:
+        """Operator ids in dependency order, or None on a cycle."""
+        order = self.released
+        return order if len(order) == len(self.successors) else None
+
+    @cached_property
+    def heights(self) -> tuple[int, ...] | None:
+        """At index i, the op count of op i's longest path down to a sink
+        (1 for a sink), from one pass over the reversed order; None when
+        the order is."""
+        order = self.order
+        if order is None:
+            return None
+        succs = self.successors
+        height = [0] * len(succs)
+        for oid in reversed(order):
+            below = succs[oid]
+            height[oid] = 1 + max(map(height.__getitem__, below)) if below else 1
+        return tuple(height)
+
+    @cached_property
+    def sinks(self) -> frozenset[int]:
+        """Operators none of whose results another operator consumes."""
+        return frozenset(oid for oid, below in enumerate(self.successors) if not below)
+
+
+@dataclass(frozen=True, eq=False)
 class CircuitGraph:
     """A single function: arguments, operators, returned values.
 
     Operator ids are a permutation of 0..n-1 and storage order is free;
-    each per-op index (successors, op_heights) is a tuple read by id.
-    validate() checks the ids, SSA single definition and acyclicity; on
-    other ids the edge index raises ValueError with its first id message.
-    `value_names` holds the printed names; a missing one reads the id.
+    the edges are a Topology read by op id.  validate() checks the ids,
+    SSA single definition and acyclicity; on other ids the Topology
+    raises ValueError with its first id message.  `value_names` holds
+    the printed names; a missing one reads the id.
     """
 
     name: str
@@ -214,6 +274,9 @@ class CircuitGraph:
     operators: tuple[Operator, ...]
     returns: tuple[ValueId, ...]
     value_names: Mapping[ValueId, str] = field(default_factory=dict)
+    # The Topology once built, in a list that with_same_edges shares with
+    # the graphs it derives, so one edge set builds one Topology.
+    _topology: list[Topology] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arguments", tuple(tuple(a) for a in self.arguments))
@@ -250,86 +313,28 @@ class CircuitGraph:
             raise ValueError(duplicate_id_message(self))
         return self._by_id
 
-    @cached_property
-    def consumers(self) -> dict[ValueId, tuple[int, ...]]:
-        """Consuming operator ids per value, ascending and deduplicated: the
-        one edge index, filled in one pass in id order."""
-        cons: dict[ValueId, list[int] | tuple[int, ...]] = {}
-        for op in self._ops():
-            oid = op.id
-            for v in op.operands:
-                ids = cons.get(v)
-                if ids is None:
-                    cons[v] = [oid]
-                elif ids[-1] != oid:
-                    ids.append(oid)
-        for v, ids in cons.items():
-            cons[v] = tuple(ids)
-        return cons
+    @property
+    def topology(self) -> Topology:
+        """The edges of the ops, built on first read; ValueError with
+        validate()'s first id message unless the ids are a permutation."""
+        if not self._topology:
+            self._topology.append(build_topology(self))
+        return self._topology[0]
 
-    @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """At index i, the ascending ids of the ops that consume op i's
-        results; an op that consumes its own result lists itself (a cycle)."""
-        consumers = self.consumers
-        producers = self.producers
-        succs: list[tuple[int, ...]] = []
-        for op in self._ops():
-            rows = [consumers.get(r, ()) for r in op.results if producers[r] is op]
-            succs.append(rows[0] if len(rows) == 1 else tuple(sorted(set().union(*rows))))
-        return tuple(succs)
+    @property
+    def consumers(self) -> dict[ValueId, tuple[int, ...]]:
+        """The Topology's consumers."""
+        return self.topology.consumers
 
     @cached_property
     def op_succs(self) -> dict[int, tuple[int, ...]]:
-        """`successors` as a dict keyed by op id."""
-        return dict(enumerate(self.successors))
+        """The Topology's successors as a dict keyed by op id."""
+        return dict(enumerate(self.topology.successors))
 
-    @cached_property
-    def topo_order(self) -> tuple[int, ...] | None:
-        """Operator ids in dependency order, or None on a cycle or bad ids."""
-        order = self._released
-        return order if len(order) == len(self.operators) else None
-
-    @cached_property
-    def _released(self) -> tuple[int, ...]:
-        """Kahn's algorithm with the ready set popped in ascending id order,
-        so the order does not depend on how the operators are stored.  The
-        ops on and below a cycle (all ops, given bad ids) are never released."""
-        succs = self.successors if self._by_id is not None else ()
-        indeg = [0] * len(succs)
-        for below in succs:
-            for succ in below:
-                indeg[succ] += 1
-        ready = [oid for oid, d in enumerate(indeg) if d == 0]  # ascending: a heap
-        order: list[int] = []
-        while ready:
-            oid = heapq.heappop(ready)
-            order.append(oid)
-            for succ in succs[oid]:
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    heapq.heappush(ready, succ)
-        return tuple(order)
-
-    @cached_property
-    def op_heights(self) -> tuple[int, ...] | None:
-        """At index i, the op count of op i's longest path down to a sink
-        (1 for a sink), from one pass over the reversed topological
-        order; None when topo_order is."""
-        order = self.topo_order
-        if order is None:
-            return None
-        succs = self.successors
-        height = [0] * len(succs)
-        for oid in reversed(order):
-            below = succs[oid]
-            height[oid] = 1 + max(map(height.__getitem__, below)) if below else 1
-        return tuple(height)
-
-    @cached_property
+    @property
     def sink_op_ids(self) -> frozenset[int]:
-        """Operators none of whose results another operator consumes."""
-        return frozenset(oid for oid, succs in enumerate(self.successors) if not succs)
+        """The Topology's sinks."""
+        return self.topology.sinks
 
     @cached_property
     def value_types(self) -> dict[ValueId, ValueType]:
@@ -349,6 +354,46 @@ class CircuitGraph:
 
     def display_name(self, vid: ValueId) -> str:
         return self.value_names.get(vid, str(vid))
+
+
+def build_topology(graph: CircuitGraph) -> Topology:
+    """A fresh Topology of the graph's ops, filled in one pass in id
+    order; ValueError with validate()'s first id message unless the ids
+    are a permutation."""
+    ops = graph._ops()
+    cons: dict[ValueId, list[int] | tuple[int, ...]] = {}
+    for op in ops:
+        oid = op.id
+        for v in op.operands:
+            ids = cons.get(v)
+            if ids is None:
+                cons[v] = [oid]
+            elif ids[-1] != oid:
+                ids.append(oid)
+    for v, ids in cons.items():
+        cons[v] = tuple(ids)
+    producers = graph.producers
+    succs: list[tuple[int, ...]] = []
+    for op in ops:
+        rows = [cons.get(r, ()) for r in op.results if producers[r] is op]
+        succs.append(rows[0] if len(rows) == 1 else tuple(sorted(set().union(*rows))))
+    return Topology(cons, tuple(succs))
+
+
+def with_same_edges(graph: CircuitGraph, operators: Sequence[Operator]) -> CircuitGraph:
+    """`graph` with `operators` in its place, for a pass that keeps every
+    op's id, operands and results where they were stored: the new graph
+    shares the graph's Topology, built or not.  ValueError if an op
+    changed any of the three."""
+    ops = tuple(operators)
+    if len(ops) != len(graph.operators) or any(
+        op.id != old.id or op.operands != old.operands or op.results != old.results
+        for old, op in zip(graph.operators, ops)
+    ):
+        raise ValueError("the operators do not keep the graph's edges")
+    new = replace(graph, operators=ops)
+    object.__setattr__(new, "_topology", graph._topology)
+    return new
 
 
 class GraphBuilder:
@@ -582,8 +627,8 @@ def validate(graph: CircuitGraph) -> list[Violation]:
                     )
                 )
 
-    if graph._by_id is not None and graph.topo_order is None:
-        stuck = min(set(range(len(graph.operators))).difference(graph._released))
+    if graph._by_id is not None and graph.topology.order is None:
+        stuck = min(set(range(len(graph.operators))).difference(graph.topology.released))
         violations.append(Violation("cycle", "dependency cycle among operators", stuck))
     return violations
 
@@ -631,11 +676,12 @@ def duplicate_id_message(graph: CircuitGraph) -> str | None:
 
 
 def topological_sort(graph: CircuitGraph) -> list[int]:
-    """graph.topo_order as a list.  Raises ValueError on a cycle or ids
-    that are not a permutation of 0..n-1, which validate() reports."""
-    if graph.topo_order is None:
-        raise ValueError(duplicate_id_message(graph) or "graph contains a dependency cycle")
-    return list(graph.topo_order)
+    """The Topology's order as a list.  Raises ValueError on a cycle or
+    ids that are not a permutation of 0..n-1, which validate() reports."""
+    order = graph.topology.order
+    if order is None:
+        raise ValueError("graph contains a dependency cycle")
+    return list(order)
 
 
 # ---------------------------------------------------------------------------
@@ -757,8 +803,9 @@ def evaluate(graph: CircuitGraph, inputs: Mapping[ValueId, object]) -> dict[Valu
                 )
             values[vid] = vec
 
-    if graph.topo_order is None:
+    order = graph.topology.order if graph._by_id is not None else None
+    if order is None:
         raise EvaluationError(duplicate_id_message(graph) or "cannot evaluate a cyclic graph")
-    for op in map(graph.operator, graph.topo_order):
+    for op in map(graph.operator, order):
         values.update(zip(op.results, _apply_op(op, [values[v] for v in op.operands])))
     return values

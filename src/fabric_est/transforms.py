@@ -24,6 +24,7 @@ from .ir import (
     gate_output,
     lut_form,
     topological_sort,
+    with_same_edges,
 )
 from .cost import CostTable
 
@@ -47,13 +48,14 @@ def lower_gates(graph: CircuitGraph) -> CircuitGraph:
     Each becomes its lut_form as a lincomb: gates get coeffs [1, 2] and
     Not coeffs [1], with the tag's truth table as mask.  Lut2/Lut3/Packed
     and everything already in lincomb form pass through, so the transform
-    is idempotent.  Ids, operands, results, and sections are preserved.
+    is idempotent.  Ids, operands, results, and sections are preserved,
+    so the result shares the input's Topology.
     """
     new_ops = []
     for op in graph.operators:
         kind = _LOWERED.get(op.kind.tag)
         new_ops.append(op if kind is None else replace(op, kind=kind))
-    return replace(graph, operators=tuple(new_ops))
+    return with_same_edges(graph, new_ops)
 
 
 def _eliminate_dead_ops(graph: CircuitGraph) -> CircuitGraph:
@@ -133,7 +135,7 @@ def _fuse_single_use_gates(graph: CircuitGraph) -> CircuitGraph:
     outer gate becomes the fused op; the inner one is left unused for
     dead-op elimination to drop.
     """
-    consumers = graph.consumers
+    consumers = graph.topology.consumers
     returned = set(graph.returns)
     producers = graph.producers
     consumed: set[int] = set()
@@ -204,7 +206,8 @@ def sectionize(
     Walks operators in deterministic topological order, opening a new
     section whenever the running FC sum would exceed the capacity.
     Guarantees every cross-section edge points forward.  An operator
-    whose own cost exceeds the capacity cannot be placed at all.
+    whose own cost exceeds the capacity cannot be placed at all.  Only
+    sections change, so the result shares the input's Topology.
     """
     if capacity_fcs < 1:
         raise TransformError(f"capacity must be positive, got {capacity_fcs}")
@@ -224,6 +227,6 @@ def sectionize(
         assignment[op.id] = current
         current_sum += fcs
     new_ops = tuple(replace(op, section=assignment[op.id]) for op in graph.operators)
-    annotated = replace(graph, operators=new_ops)
+    annotated = with_same_edges(graph, new_ops)
     count = current + 1 if assignment else 1
     return annotated, SectionPlan(count, assignment, capacity_fcs)

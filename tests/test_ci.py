@@ -1,5 +1,6 @@
 """The CI workflow runs what ROADMAP.md and BENCHMARK.json name."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -62,3 +63,18 @@ def test_piped_steps_run_under_bash():
                 piped += 1
                 assert step.get("shell") == "bash", (name, step["run"])
     assert piped
+
+
+def test_ladder_parent_imports_no_program():
+    """bench/ladder.py imports neither fabric_est nor a perfbench module,
+    so each child it starts forks from a small process and the
+    ru_maxrss it reports is the child's own."""
+    tree = ast.parse((ROOT / "bench" / "ladder.py").read_text(encoding="utf-8"))
+    banned = {"fabric_est", "perfbench"} | {p.stem for p in (ROOT / "perfbench").glob("*.py")}
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+    assert imported and not imported & banned, imported & banned

@@ -72,6 +72,11 @@ class TestUsageErrors:
     def test_malformed_fixture_spec(self, capsys):
         assert main(["--fixture", "ripple-adder:x"]) == 2
         assert "malformed fixture spec" in capsys.readouterr().err
+        # a parameter is ASCII digits, as the IR lexer and printer write it
+        for spec in ("ripple-adder:\u0661\u0662", "name(\u0663)"):
+            assert main(["--fixture", spec, "--cggi-estimate"]) == 2
+            out = capsys.readouterr()
+            assert (out.out, out.err) == ("", f"error: malformed fixture spec '{spec}'\n")
         # more digits than int() reads
         assert main(["--fixture", "ripple-adder:" + "9" * 5000, "--cggi-estimate"]) == 2
         out = capsys.readouterr()

@@ -64,7 +64,9 @@ class TestRegistry:
         assert parse_fixture_spec(spec) == want
 
     @pytest.mark.parametrize(
-        "spec", ["", ":4", "name:", "name(", "name(3", "name)4(", "3abc", "n:x", "a:1:2"]
+        "spec",
+        ["", ":4", "name:", "name(", "name(3", "name)4(", "3abc", "n:x", "a:1:2",
+         "ripple-adder:\u0661\u0662", "name(\u0663)"],
     )
     def test_malformed_spec(self, spec):
         with pytest.raises(FixtureError, match="malformed fixture spec"):

@@ -226,7 +226,7 @@ class TestEdgeIndex:
         g = b.build()
         assert g.consumers == {x: (0,), lo: (1,), hi: (1, 2)}
         assert g.op_succs == {0: (1, 2), 1: (), 2: ()}
-        assert g.topo_order == (0, 1, 2)
+        assert g.topology.order == (0, 1, 2)
 
     def test_first_definition_is_the_producer(self):
         ops = (
@@ -236,7 +236,7 @@ class TestEdgeIndex:
         )
         g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), ops, (2,), {})
         assert g.op_succs == {0: (2,), 1: (), 2: ()} == recomputed_index(g)[1]
-        assert g.topo_order == (0, 1, 2)
+        assert g.topology.order == (0, 1, 2)
 
     def test_repeated_ids_have_no_order(self):
         # an acyclic chain of two nots whose ids collide
@@ -245,7 +245,8 @@ class TestEdgeIndex:
             Operator(0, OpKind(OpTag.NOT), (1,), (2,)),
         )
         g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), ops, (2,), {})
-        assert g.topo_order is None
+        with pytest.raises(ValueError, match="^duplicate operator id 0$"):
+            g.topology
         assert [v.code for v in validate(g)] == ["duplicate-id"]
 
     def test_cycle_has_no_order(self):
@@ -256,8 +257,8 @@ class TestEdgeIndex:
         )
         g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), ops, (2,), {})
         assert g.op_succs == {0: (1,), 1: (0,)}
-        assert g.topo_order is None
-        assert g.op_heights is None
+        assert g.topology.order is None
+        assert g.topology.heights is None
         assert [v.code for v in validate(g)] == ["cycle"]
 
 
@@ -285,8 +286,9 @@ class TestBadOperatorIds:
     def test_one_violation_and_no_order(self, ids, violation):
         g = two_not_chain(ids)
         assert [(v.code, v.op_id, v.message) for v in validate(g)] == [violation]
-        assert g.topo_order is None
-        assert g.op_heights is None
+        with pytest.raises(ValueError) as info:
+            g.topology
+        assert str(info.value) == violation[2]
 
     def test_order_readers_raise_with_the_message(self, ids, violation):
         message = violation[2]
@@ -310,7 +312,7 @@ class TestBadOperatorIds:
     def test_index_reads_raise_with_the_message(self, ids, violation):
         readers = [
             lambda g: g.consumers,
-            lambda g: g.successors,
+            lambda g: g.topology,
             lambda g: g.sink_op_ids,
             topological_sort,
             approximate_cp,
@@ -521,13 +523,13 @@ class TestValidate:
             "f", ((0, ValueType.LWE_CIPHERTEXT),), (op1, op2), (2,), {}
         )
         assert "cycle" in codes(validate(g))
-        assert g.topo_order is None
+        assert g.topology.order is None
 
     def test_self_use_is_a_cycle(self):
         op = Operator(0, OpKind(OpTag.AND), (1, 0), (1,))
         g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op,), (1,), {})
         assert g.op_succs == {0: (0,)}
-        assert g.topo_order is None
+        assert g.topology.order is None
         assert [v.code for v in validate(g)] == ["cycle"]
 
     def test_duplicate_operator_id(self):
@@ -618,7 +620,7 @@ class TestValidate:
             "f", ((0, ValueType.LWE_CIPHERTEXT),), (op1, op2), (2,), {}
         )
         assert validate(g) == []
-        assert g.topo_order == (1, 0)
+        assert g.topology.order == (1, 0)
 
 
 class TestEvaluateBool:

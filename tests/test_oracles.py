@@ -186,20 +186,20 @@ def test_single_loop_search_matches_two_loop_search(bfs_runs):
 
 
 def assert_index_matches_oracle(g):
-    """The tuple indexes read by op id against the dict indexes they
-    replaced: topo_order, op_heights, sink_op_ids, the edge index and
+    """The Topology's tuples read by op id against the dict indexes they
+    replaced: its order and heights, sink_op_ids, the edge index and
     each argument's BFS, parents included."""
     succs = oracles.op_succs(g)
     order = oracles._released(g)
-    assert g.topo_order == (order if len(order) == len(g.operators) else None)
-    heights = g.op_heights
+    assert g.topology.order == (order if len(order) == len(g.operators) else None)
+    heights = g.topology.heights
     assert (None if heights is None else dict(enumerate(heights))) == oracles.op_heights(g)
     assert g.sink_op_ids == frozenset(oid for oid, below in succs.items() if not below)
     assert g.consumers == oracles.consumers(g)
     assert g.op_succs == succs
     for a in g.argument_ids:
         first = g.consumers.get(a, ())
-        depth, sink, parent = critical_path._bfs(first, g.successors)
+        depth, sink, parent = critical_path._bfs(first, g.topology.successors)
         want_depth, want_sink, want_parent = oracles._bfs(first, succs)
         assert (depth, sink) == (want_depth, want_sink)
         assert {oid: p for oid, p in enumerate(parent) if p is not None} == want_parent
