@@ -214,6 +214,8 @@ def main(argv: list[str] | None = None) -> int:
         label, sep, path = spec.partition("=")
         if not sep or not (Path(path) / "src" / "fabric_est" / "cli.py").is_file():
             p.error(f"--tree {spec}: want LABEL=PATH of a checkout with src/fabric_est")
+        if any(tree.label == label for tree in trees):
+            p.error(f"--tree {spec}: label {label} is given twice")
         trees.append(Tree(label, Path(path).resolve()))
     if args.runs < 1 or args.budget <= 0:
         p.error("--runs and --budget must be positive")

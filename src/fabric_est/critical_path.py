@@ -16,7 +16,9 @@ Three methods ship side by side:
   one height per op and a single walk; the reference circuit depth.
 
 All three read the graph's one ``Topology``; paper-exact and longest
-share its heights, so a run of both computes them once.
+share its heights, so a run of both computes them once.  On a cycle,
+or op ids that are not a permutation, each lets the Topology's
+ValueError through.
 
 All methods use fixed id-ordered tie-breaking, so results are
 deterministic across runs.  Reported depth counts compute operators
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import NamedTuple
 
-from .ir import CircuitGraph, topological_sort
+from .ir import CircuitGraph
 from .cost import FabricConfig, reportable
 
 
@@ -57,12 +59,8 @@ class ThroughputResult(NamedTuple):
 
 
 def _heights(graph: CircuitGraph) -> tuple[int, ...]:
-    """The Topology's heights; the ValueError of topological_sort when
-    the graph has no topological order."""
-    heights = graph.topology.heights
-    if heights is None:
-        topological_sort(graph)  # raises
-    return heights
+    """The Topology's heights, or its ValueError when there is no order."""
+    return graph.topology.heights
 
 
 def _result(method: Method, ops: list[int], unit_time: float) -> CriticalPathResult:
@@ -75,7 +73,7 @@ def approximate_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathR
     longest path except its final sink, hence longest depth <=
     approximate depth + 1."""
     sinks = graph.topology.sinks
-    ops = [oid for oid in topological_sort(graph) if oid not in sinks]
+    ops = [oid for oid in graph.topology.order if oid not in sinks]
     return _result(Method.APPROXIMATE, ops, unit_time)
 
 

@@ -232,22 +232,21 @@ class Topology:
         return tuple(order)
 
     @cached_property
-    def order(self) -> tuple[int, ...] | None:
-        """Operator ids in dependency order, or None on a cycle."""
+    def order(self) -> tuple[int, ...]:
+        """Operator ids in dependency order; ValueError on a cycle."""
         order = self.released
-        return order if len(order) == len(self.successors) else None
+        if len(order) != len(self.successors):
+            raise ValueError("graph contains a dependency cycle")
+        return order
 
     @cached_property
-    def heights(self) -> tuple[int, ...] | None:
+    def heights(self) -> tuple[int, ...]:
         """At index i, the op count of op i's longest path down to a sink
-        (1 for a sink), from one pass over the reversed order; None when
-        the order is."""
-        order = self.order
-        if order is None:
-            return None
+        (1 for a sink), from one pass over the reversed order; the
+        order's ValueError on a cycle."""
         succs = self.successors
         height = [0] * len(succs)
-        for oid in reversed(order):
+        for oid in reversed(self.order):
             below = succs[oid]
             height[oid] = 1 + max(map(height.__getitem__, below)) if below else 1
         return tuple(height)
@@ -298,20 +297,15 @@ class CircuitGraph:
         return prod
 
     @cached_property
-    def _by_id(self) -> tuple[Operator, ...] | None:
-        """Op i at index i, or None unless the ids are a permutation."""
+    def _by_id(self) -> tuple[Operator, ...]:
+        """Op i at index i; ValueError with validate()'s first id message
+        unless the ids are a permutation."""
         ops: list[Operator | None] = [None] * len(self.operators)
         for op in self.operators:
             if not (isinstance(op.id, int) and 0 <= op.id < len(ops)) or ops[op.id] is not None:
-                return None
+                raise ValueError(duplicate_id_message(self))
             ops[op.id] = op
         return tuple(ops)
-
-    def _ops(self) -> tuple[Operator, ...]:
-        """_by_id, else ValueError with validate()'s first id message."""
-        if self._by_id is None:
-            raise ValueError(duplicate_id_message(self))
-        return self._by_id
 
     @property
     def topology(self) -> Topology:
@@ -347,7 +341,7 @@ class CircuitGraph:
     def operator(self, op_id: int) -> Operator:
         """Op `op_id`; KeyError for an id outside 0..n-1, and ValueError
         with validate()'s message unless the ids are a permutation."""
-        by_id = self._ops()
+        by_id = self._by_id
         if isinstance(op_id, int) and 0 <= op_id < len(by_id):
             return by_id[op_id]
         raise KeyError(op_id)
@@ -360,7 +354,7 @@ def build_topology(graph: CircuitGraph) -> Topology:
     """A fresh Topology of the graph's ops, filled in one pass in id
     order; ValueError with validate()'s first id message unless the ids
     are a permutation."""
-    ops = graph._ops()
+    ops = graph._by_id
     cons: dict[ValueId, list[int] | tuple[int, ...]] = {}
     for op in ops:
         oid = op.id
@@ -627,7 +621,8 @@ def validate(graph: CircuitGraph) -> list[Violation]:
                     )
                 )
 
-    if graph._by_id is not None and graph.topology.order is None:
+    ids_ok = all(v.code not in ("op-id", "duplicate-id") for v in violations)
+    if ids_ok and len(graph.topology.released) < len(graph.operators):
         stuck = min(set(range(len(graph.operators))).difference(graph.topology.released))
         violations.append(Violation("cycle", "dependency cycle among operators", stuck))
     return violations
@@ -678,10 +673,7 @@ def duplicate_id_message(graph: CircuitGraph) -> str | None:
 def topological_sort(graph: CircuitGraph) -> list[int]:
     """The Topology's order as a list.  Raises ValueError on a cycle or
     ids that are not a permutation of 0..n-1, which validate() reports."""
-    order = graph.topology.order
-    if order is None:
-        raise ValueError("graph contains a dependency cycle")
-    return list(order)
+    return list(graph.topology.order)
 
 
 # ---------------------------------------------------------------------------
@@ -803,9 +795,10 @@ def evaluate(graph: CircuitGraph, inputs: Mapping[ValueId, object]) -> dict[Valu
                 )
             values[vid] = vec
 
-    order = graph.topology.order if graph._by_id is not None else None
-    if order is None:
-        raise EvaluationError(duplicate_id_message(graph) or "cannot evaluate a cyclic graph")
+    try:
+        order = graph.topology.order
+    except ValueError:
+        raise EvaluationError(duplicate_id_message(graph) or "cannot evaluate a cyclic graph") from None
     for op in map(graph.operator, order):
         values.update(zip(op.results, _apply_op(op, [values[v] for v in op.operands])))
     return values

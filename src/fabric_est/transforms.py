@@ -23,7 +23,6 @@ from .ir import (
     ValueId,
     gate_output,
     lut_form,
-    topological_sort,
     with_same_edges,
 )
 from .cost import CostTable
@@ -96,7 +95,7 @@ def _eliminate_double_negation(graph: CircuitGraph) -> CircuitGraph:
     if not pairs:
         return graph
     repl: dict[ValueId, ValueId] = {}
-    for oid in topological_sort(graph):  # x's own replacement is final by then
+    for oid in graph.topology.order:  # x's own replacement is final by then
         if oid in pairs:
             r, x = pairs[oid]
             repl[r] = repl.get(x, x)
@@ -177,10 +176,10 @@ def canonicalize(graph: CircuitGraph) -> CircuitGraph:
     dead-op elimination deletes operators: the other two rewire, and
     what they leave unused goes at the start of the next round.  Never
     increases the operator count and preserves evaluate() semantics on
-    the returned values.  Raises topological_sort's ValueError on a
-    graph with no topological order.
+    the returned values.  Raises the Topology's ValueError on a graph
+    with no topological order.
     """
-    topological_sort(graph)
+    graph.topology.order
     while True:
         g = _eliminate_dead_ops(graph)
         graph = _fuse_single_use_gates(_eliminate_double_negation(g))
@@ -214,7 +213,7 @@ def sectionize(
     assignment: dict[int, int] = {}
     current = 0
     current_sum = 0
-    for op in map(graph.operator, topological_sort(graph)):
+    for op in map(graph.operator, graph.topology.order):
         fcs = costs[op.kind.tag].fcs
         if fcs > capacity_fcs:
             raise TransformError(

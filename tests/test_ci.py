@@ -53,6 +53,13 @@ def test_bench_smoke_runs_every_workload():
     assert matrix["trace"] == ["0", "1"]
 
 
+def test_every_job_bounds_its_run_time():
+    """A hung child would otherwise hold a runner for GitHub's default of
+    six hours; each limit is well above the job's usual time."""
+    limits = {name: job.get("timeout-minutes") for name, job in jobs().items()}
+    assert all(isinstance(m, int) and m > 0 for m in limits.values()), limits
+
+
 def test_piped_steps_run_under_bash():
     """GitHub runs a `shell: bash` step with pipefail, so a crash on the
     left of a pipe fails the step and not only what reads from it."""

@@ -6,7 +6,9 @@ import pytest
 
 import genutil
 from fabric_est import (
+    PAPER_DEFAULT_PROFILE,
     CriticalPathResult,
+    EvaluationError,
     FabricConfig,
     GraphBuilder,
     Method,
@@ -14,9 +16,13 @@ from fabric_est import (
     OpTag,
     ValueType,
     approximate_cp,
+    canonicalize,
     compute,
+    evaluate,
+    load_profile,
     longest_path_cp,
     paper_exact_cp,
+    sectionize,
     throughput,
     topological_sort,
 )
@@ -24,6 +30,7 @@ from fabric_est.fixtures import build_ripple_adder, build_table3_mult8, generate
 from fabric_est.ir import CircuitGraph, Operator
 
 LWE = ValueType.LWE_CIPHERTEXT
+_, COSTS = load_profile(PAPER_DEFAULT_PROFILE)
 NOT = OpKind(OpTag.NOT)
 AND = OpKind(OpTag.AND)
 
@@ -130,7 +137,20 @@ class TestTopologicalSort:
         with pytest.raises(ValueError, match="^duplicate operator id 0$"):
             topological_sort(duplicate_id_graph())
 
-    @pytest.mark.parametrize("method", [approximate_cp, paper_exact_cp, longest_path_cp])
+    def test_evaluate_refuses_a_cycle(self):
+        with pytest.raises(EvaluationError, match="^cannot evaluate a cyclic graph$"):
+            evaluate(cycle_graph(), {1: 1})
+
+    @pytest.mark.parametrize(
+        "method",
+        [
+            approximate_cp,
+            paper_exact_cp,
+            longest_path_cp,
+            pytest.param(lambda g: sectionize(g, 2048, COSTS), id="sectionize"),
+            canonicalize,
+        ],
+    )
     @pytest.mark.parametrize(
         "graph, message",
         [

@@ -19,6 +19,7 @@ from fabric_est import (
     evaluate,
     PAPER_DEFAULT_PROFILE,
     approximate_cp,
+    canonicalize,
     load_profile,
     longest_path_cp,
     paper_exact_cp,
@@ -257,8 +258,10 @@ class TestEdgeIndex:
         )
         g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), ops, (2,), {})
         assert g.op_succs == {0: (1,), 1: (0,)}
-        assert g.topology.order is None
-        assert g.topology.heights is None
+        with pytest.raises(ValueError, match="^graph contains a dependency cycle$"):
+            g.topology.order
+        with pytest.raises(ValueError, match="^graph contains a dependency cycle$"):
+            g.topology.heights
         assert [v.code for v in validate(g)] == ["cycle"]
 
 
@@ -300,6 +303,7 @@ class TestBadOperatorIds:
             paper_exact_cp,
             longest_path_cp,
             lambda g: sectionize(g, 2048, costs),
+            canonicalize,
         ]
         for call in calls:
             with pytest.raises(ValueError) as info:
@@ -523,13 +527,15 @@ class TestValidate:
             "f", ((0, ValueType.LWE_CIPHERTEXT),), (op1, op2), (2,), {}
         )
         assert "cycle" in codes(validate(g))
-        assert g.topology.order is None
+        with pytest.raises(ValueError, match="^graph contains a dependency cycle$"):
+            g.topology.order
 
     def test_self_use_is_a_cycle(self):
         op = Operator(0, OpKind(OpTag.AND), (1, 0), (1,))
         g = CircuitGraph("f", ((0, ValueType.LWE_CIPHERTEXT),), (op,), (1,), {})
         assert g.op_succs == {0: (0,)}
-        assert g.topology.order is None
+        with pytest.raises(ValueError, match="^graph contains a dependency cycle$"):
+            g.topology.order
         assert [v.code for v in validate(g)] == ["cycle"]
 
     def test_duplicate_operator_id(self):

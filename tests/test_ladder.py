@@ -42,3 +42,17 @@ def test_checked_in_file():
     points = [p["name"] for p in doc["points"]]
     check_shape(doc, ["parent", "change"], points)
     assert "array-mult:128 passes" in points and "no-work" in points
+
+
+def test_repeated_tree_label_is_refused(tmp_path):
+    """Samples and trees are keyed by label, so a repeated one would pool
+    two checkouts' runs under one name; it is a usage error instead."""
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "ladder.py"), "--out", str(out),
+         "--tree", f"a={ROOT}", "--tree", f"a={ROOT}", "--points", "no-work"],
+        capture_output=True, text=True, cwd=tmp_path)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines()[-1] == f"ladder.py: error: --tree a={ROOT}: label a is given twice"
+    assert not out.exists()
