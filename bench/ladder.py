@@ -19,7 +19,14 @@ on each tree in turn, and the trees take turns going first.  A run that takes lo
 killed, and its point is recorded as timed out on that tree; the ladder
 is never shrunk to fit.  The output records, per tree, the commit and a
 hash of its `src`, and per point and tree, the median wall time over the
-runs with its spread, the median CPU time and the median peak RSS.
+runs with its spread, the median CPU time and the median peak RSS, and
+every run's wall time, CPU time and peak RSS in run order.  With two
+trees, each point also pairs run k of the second tree with run k of the
+first: the median, min and max of the second/first ratio of wall and of
+CPU time, how many pairs the second tree was faster in, and a verdict.
+It also records `sys.flags.dont_write_bytecode` of this process.  When
+PYTHONDONTWRITEBYTECODE sets it, the children inherit the variable, so
+every child compiles `src` from source.
 """
 
 from __future__ import annotations
@@ -148,7 +155,8 @@ def median(xs) -> float:
 
 
 def summary(runs: list[dict]) -> dict:
-    """The median and spread over ok runs, or the status that stopped them."""
+    """The median and spread over ok runs and each run's figures, or the
+    status that stopped them."""
     bad = next((r for r in runs if r["status"] != "ok"), None)
     if bad is not None:
         return bad
@@ -161,7 +169,46 @@ def summary(runs: list[dict]) -> dict:
         "wall_max_s": round(max(walls), 4),
         "cpu_median_s": round(median(r["cpu_s"] for r in runs), 4),
         "maxrss_median_mib": round(median(r["maxrss_mib"] for r in runs), 2),
+        "wall_s": [round(r["wall_s"], 4) for r in runs],
+        "cpu_s": [round(r["cpu_s"], 4) for r in runs],
+        "maxrss_mib": [round(r["maxrss_mib"], 2) for r in runs],
     }
+
+
+# All of 7 pairs one way is a two-sided sign test at p = 2 / 2**7 < 0.016.
+SIGN_TEST_PAIRS = 7
+
+
+def verdict(first: list[float], second: list[float]) -> str:
+    """"faster" or "slower" when the second tree's time is less, or more,
+    than the first's in every pair, and there are enough pairs for the
+    sign test; "same" otherwise."""
+    pairs = list(zip(first, second))
+    if len(pairs) >= SIGN_TEST_PAIRS:
+        if all(b < a for a, b in pairs):
+            return "faster"
+        if all(b > a for a, b in pairs):
+            return "slower"
+    return "same"
+
+
+def paired(first: list[dict], second: list[dict]) -> dict | None:
+    """Run k of the second tree against run k of the first, for wall and
+    CPU time; None unless every run of both trees was ok."""
+    if any(r["status"] != "ok" for r in first + second):
+        return None
+    block: dict = {"pairs": len(first)}
+    for measure in ("wall_s", "cpu_s"):
+        a, b = [r[measure] for r in first], [r[measure] for r in second]
+        ratios = [y / x for x, y in zip(a, b)]
+        block[measure] = {
+            "ratio_median": round(median(ratios), 4),
+            "ratio_min": round(min(ratios), 4),
+            "ratio_max": round(max(ratios), 4),
+            "faster": sum(r < 1 for r in ratios),
+            "verdict": verdict(a, b),
+        }
+    return block
 
 
 def ladder(trees: list[Tree], names: list[str], runs: int, budget: float) -> dict:
@@ -179,22 +226,26 @@ def ladder(trees: list[Tree], names: list[str], runs: int, budget: float) -> dic
                     if any(r["status"] != "ok" for r in done):
                         continue  # timed out or failed: not run again
                     done.append(run_child(argv, workdir, tree.env, budget))
+    points = []
+    for name in names:
+        point = {
+            "name": name,
+            "argv": ([] if POINTS[name][0] is None else ["FILE"]) + POINTS[name][1],
+            "ops": ops.get(POINTS[name][0]),
+            "results": {t.label: summary(samples[name, t.label]) for t in trees},
+        }
+        if len(trees) == 2:
+            point["paired"] = paired(*(samples[name, t.label] for t in trees))
+        points.append(point)
     return {
         "python": platform.python_version(),
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "runs": runs,
         "budget_s": budget,
         "parent_maxrss_mib": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2),
         "trees": {tree.label: tree.describe() for tree in trees},
-        "points": [
-            {
-                "name": name,
-                "argv": ([] if POINTS[name][0] is None else ["FILE"]) + POINTS[name][1],
-                "ops": ops.get(POINTS[name][0]),
-                "results": {t.label: summary(samples[name, t.label]) for t in trees},
-            }
-            for name in names
-        ],
+        "points": points,
     }
 
 

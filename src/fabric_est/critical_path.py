@@ -6,10 +6,10 @@ Three methods ship side by side:
   sinks (operators with no consumed results).  Cheap: it covers every
   op of a longest path except its final sink.
 * ``paper_exact_cp`` - the longest unweighted shortest path over all
-  (source argument, sink operator) pairs.  A source's BFS reaches no
-  sink deeper than the greatest height among its consumers, so sources
-  are searched in decreasing bound and only while one can still beat
-  the deepest sink found, or tie it from an earlier argument; then one
+  (source argument, sink operator) pairs, ranked by the key (depth,
+  -argument index).  A source's BFS reaches no sink deeper than the
+  greatest height among its consumers, so sources are searched in
+  decreasing bound while one can still beat the best key; then one
   parent-chain walk.  A lower bound: shortest paths can bypass long
   chains through sibling edges.
 * ``longest_path_cp`` - exact DAG longest path by operator count, from
@@ -107,39 +107,34 @@ def _bfs(
 def paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathResult:
     """Longest of the pairwise shortest source-to-sink paths.
 
-    A source's BFS reaches no sink deeper than its bound, the greatest
-    height among its consumers (0 with none).  Sources are searched in
-    decreasing bound, ties in argument order, until the next bound is
-    below D, the deepest sink depth seen, or equals D with no winner yet
-    or with its argument after the winner's; D is then exact.  The first
-    argument whose BFS reaches a sink at depth D wins (arguments with a
-    bound below D are skipped), and the parent chain of its smallest
-    sink at D is walked once.  That is the result of one BFS per source
-    in argument order, sinks in ascending id, where only a strictly
-    deeper sink replaces the best.  The reported ops exclude the source
-    argument.
+    Each source ranks by the key (d, -argument index), d being the depth
+    of the deepest sink its BFS reaches, so the deepest wins and a tie
+    goes to the earlier argument.  No d exceeds the source's bound, the
+    greatest height among its consumers (0 with none).  Sources are
+    searched in decreasing bound, ties in argument order, until a
+    (bound, -index) cannot beat the best key, which starts at (0, 1);
+    then the parent chain of the winner's smallest sink at its depth is
+    walked once.  That is the result of one BFS per source in argument
+    order, sinks in ascending id, where only a strictly deeper sink
+    replaces the best.  The reported ops exclude the source argument.
     """
     height = _heights(graph)
     topology = graph.topology
     succs = topology.successors
     first = [topology.consumers.get(a, ()) for a in graph.argument_ids]
     bound = [max([height[c] for c in ops], default=0) for ops in first]
-    depth = 0
-    best: tuple[int, int, list[int | None]] | None = None  # argument index, sink, parents
+    key, node, parent = (0, 1), -1, []  # the winner's key, sink and parents
     for i in sorted(range(len(first)), key=bound.__getitem__, reverse=True):
-        # A bound of D can only tie, and a tie goes to the earlier argument.
-        if bound[i] < depth or bound[i] == depth and (best is None or i > best[0]):
+        if (bound[i], -i) <= key:
             break
-        d, sink, parent = _bfs(first[i], succs)
-        if d > depth or (d == depth and i < best[0]):
-            depth, best = d, (i, sink, parent)
+        d, sink, parents = _bfs(first[i], succs)
+        if (d, -i) > key:
+            key, node, parent = (d, -i), sink, parents
     ops: list[int] = []
-    if best is not None:
-        _, node, parent = best
-        for _ in range(depth):
-            ops.append(node)
-            node = parent[node]
-        ops.reverse()
+    for _ in range(key[0]):
+        ops.append(node)
+        node = parent[node]
+    ops.reverse()
     return _result(Method.PAPER_EXACT, ops, unit_time)
 
 

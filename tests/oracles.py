@@ -1031,3 +1031,50 @@ def main(argv: list[str] | None = None) -> int:
     )
     sys.stdout.write(emit_report(manifest, resources, cp_results, tp))
     return 0
+
+
+# ---------------------------------------------------------------------------
+# paper-exact as it was when its tie-break was written twice, once in the
+# stop test and once in the update test, with a branch for no winner
+# (renamed two_test_paper_exact_cp; it reads _heights, _bfs and _result
+# through the critical_path module, so a test can count its BFS runs).
+# Verbatim otherwise; change nothing here when the library changes.
+
+
+def two_test_paper_exact_cp(graph: CircuitGraph, unit_time: float = 1.0) -> CriticalPathResult:
+    """Longest of the pairwise shortest source-to-sink paths.
+
+    A source's BFS reaches no sink deeper than its bound, the greatest
+    height among its consumers (0 with none).  Sources are searched in
+    decreasing bound, ties in argument order, until the next bound is
+    below D, the deepest sink depth seen, or equals D with no winner yet
+    or with its argument after the winner's; D is then exact.  The first
+    argument whose BFS reaches a sink at depth D wins (arguments with a
+    bound below D are skipped), and the parent chain of its smallest
+    sink at D is walked once.  That is the result of one BFS per source
+    in argument order, sinks in ascending id, where only a strictly
+    deeper sink replaces the best.  The reported ops exclude the source
+    argument.
+    """
+    height = critical_path._heights(graph)
+    topology = graph.topology
+    succs = topology.successors
+    first = [topology.consumers.get(a, ()) for a in graph.argument_ids]
+    bound = [max([height[c] for c in ops], default=0) for ops in first]
+    depth = 0
+    best: tuple[int, int, list[int | None]] | None = None  # argument index, sink, parents
+    for i in sorted(range(len(first)), key=bound.__getitem__, reverse=True):
+        # A bound of D can only tie, and a tie goes to the earlier argument.
+        if bound[i] < depth or bound[i] == depth and (best is None or i > best[0]):
+            break
+        d, sink, parent = critical_path._bfs(first[i], succs)
+        if d > depth or (d == depth and i < best[0]):
+            depth, best = d, (i, sink, parent)
+    ops: list[int] = []
+    if best is not None:
+        _, node, parent = best
+        for _ in range(depth):
+            ops.append(node)
+            node = parent[node]
+        ops.reverse()
+    return critical_path._result(Method.PAPER_EXACT, ops, unit_time)

@@ -81,6 +81,21 @@ def two_chains():
     return b.build()
 
 
+def high_bound_on(arg):
+    """Arguments a0 and a1.  The one numbered `arg` feeds x = not,
+    y = not x, z = not y, w = and z, x (ops 0-3): bound 4, but its BFS
+    reaches the one sink w at depth 2.  The other feeds p = not,
+    q = not p (ops 4-5): bound 2, depth 2."""
+    b = GraphBuilder("tie")
+    sources = [b.argument(LWE, "a0"), b.argument(LWE, "a1")]
+    x = b.op(NOT, sources[arg])
+    z = b.op(NOT, b.op(NOT, x))
+    w = b.op(AND, z, x)
+    q = b.op(NOT, b.op(NOT, sources[1 - arg]))
+    b.ret(w, q)
+    return b.build()
+
+
 def empty_graph():
     b = GraphBuilder("empty")
     x = b.argument(LWE)
@@ -221,6 +236,20 @@ class TestPaperExact:
             for prev, nxt in zip(ops, ops[1:]):
                 results = set(g.operator(prev).results)
                 assert results & set(g.operator(nxt).operands)
+
+    def test_tie_at_the_bound_goes_to_the_earlier_argument(self, bfs_runs):
+        r = paper_exact_cp(high_bound_on(1))
+        assert (r.ops, len(bfs_runs)) == ((4, 5), 2)
+
+    def test_a_tie_that_cannot_win_is_not_searched(self, bfs_runs):
+        r = paper_exact_cp(high_bound_on(0))
+        assert (r.ops, len(bfs_runs)) == ((0, 3), 1)
+
+    def test_no_consumed_argument_runs_no_search(self, bfs_runs):
+        b = GraphBuilder("pass_through")
+        b.ret(b.argument(LWE, "a0"), b.argument(LWE, "a1"))
+        r = paper_exact_cp(b.build())
+        assert (r.ops, r.depth, len(bfs_runs)) == ((), 0, 0)
 
     @pytest.mark.parametrize(
         "spec, runs, sources",

@@ -185,6 +185,33 @@ def test_single_loop_search_matches_two_loop_search(bfs_runs):
         bfs_runs.clear()
 
 
+def assert_same_ranking(g, bfs_runs):
+    """paper_exact_cp gives the two-test search's result through the same
+    BFS runs."""
+    result = paper_exact_cp(g, 2.0)
+    runs = list(bfs_runs)
+    bfs_runs.clear()
+    assert result == oracles.two_test_paper_exact_cp(g, 2.0)
+    assert runs == bfs_runs
+    bfs_runs.clear()
+
+
+def test_keyed_search_matches_two_test_search(bfs_runs):
+    rng = random.Random(28031)
+    for i in range(500):
+        g = genutil.random_bool_graph(rng, max_ops=60, max_args=1 + i % 16)
+        assert_same_ranking(g, bfs_runs)
+        assert_same_ranking(genutil.permute_operators(g, rng), bfs_runs)
+        assert_same_ranking(genutil.random_ckks_graph(rng, max_ops=20), bfs_runs)
+    for chain in (1, 2, 3):
+        assert_same_ranking(two_source_graph(chain), bfs_runs)
+
+
+@pytest.mark.parametrize("spec", ["ripple-adder:200", "array-mult:8", "ckks-box-blur:64"])
+def test_keyed_search_fixtures(spec, bfs_runs):
+    assert_same_ranking(generate_from_spec(spec), bfs_runs)
+
+
 def assert_index_matches_oracle(g):
     """The Topology's tuples read by op id against the dict indexes they
     replaced: its order and heights, sink_op_ids, the edge index and
